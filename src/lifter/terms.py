@@ -9,12 +9,19 @@ match the way a goal reads when printed.
 An Occurrence addresses one node of the flattened tree of one subgoal by
 its child-index path from the root.  Two occurrences are equal exactly when
 their subgoal index and path are equal, even if they denote equal terms.
+
+A goal's occurrences, flat nodes and distinct subterms come from one
+GoalIndex, built in one iterative pass the first time `Goal.index` is read
+and cached on the goal for its lifetime.  The index interns terms, so the
+interpreter compares them by id; `enumerate_occurrences`,
+`enumerate_subterms`, `node_at` and `term_at` are views over it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Union
 
 
@@ -161,6 +168,11 @@ class Goal:
         if not self.subgoals:
             raise ValueError("a goal has at least one subgoal")
 
+    @cached_property
+    def index(self) -> "GoalIndex":
+        """The goal's index, built on first use and kept as long as the goal."""
+        return GoalIndex(self)
+
 
 @dataclass(frozen=True)
 class Occurrence:
@@ -172,10 +184,161 @@ def depth_of(occurrence: Occurrence) -> int:
     return len(occurrence.path)
 
 
-def flatten_subgoal(goal: Goal, subgoal: int) -> FlatNode:
-    if not 0 <= subgoal < len(goal.subgoals):
-        raise IndexError(f"subgoal index {subgoal} out of range")
-    return flatten(goal.subgoals[subgoal])
+def _leaf_key(term: Term) -> tuple:
+    if isinstance(term, Bound):
+        return (Bound, term.index)
+    return (type(term), term.name)
+
+
+class GoalIndex:
+    """Every node and term of one goal, numbered in a single pass.
+
+    Occurrences of all subgoals are numbered in preorder, subgoal 0 first
+    and each head before its arguments.  Terms are hash-consed: a term's id
+    is keyed on its constructor and its children's ids, the partial
+    applications of a flattened call included, and each id has one
+    canonical Term built from its children's canonical terms.  Two terms are
+    equal exactly when their ids are, so no comparison ever walks a term.
+    """
+
+    def __init__(self, goal: Goal):
+        self.occurrences: list[Occurrence] = []
+        self.nodes: list[FlatNode] = []
+        self.term_ids: list[int] = []
+        self._ends: list[int] = []
+        self.term_of: list[Term] = []
+        self._cons: dict[tuple, int] = {}
+        self._canonical: dict[int, int] = {}  # id() of a canonical term -> its term id
+        self.widest = 0  # most arguments of one constant application, any subgoal
+        starts = []
+        for subgoal, term in enumerate(goal.subgoals):
+            starts.append(len(self.occurrences))
+            self._walk(subgoal, term)
+        self.starts = (*starts, len(self.occurrences))
+        self.positions = {occ: i for i, occ in enumerate(self.occurrences)}
+
+        seen: set[int] = set()
+        self.subterms: list[Term] = []  # the term domain, first-seen order
+        for tid in self.term_ids:
+            if tid not in seen:
+                seen.add(tid)
+                self.subterms.append(self.term_of[tid])
+
+        # Subgoal 0 is the evaluation scope.
+        self.scope = self.occurrences[: self.starts[1]]
+        self.max_depth = max(len(occ.path) for occ in self.scope)
+        self.occs_of: dict[int, list[Occurrence]] = {}
+        for occ, tid in zip(self.scope, self.term_ids):
+            self.occs_of.setdefault(tid, []).append(occ)
+
+    def _walk(self, subgoal: int, root: Term) -> None:
+        """Number the flattened nodes of one subgoal.  A node enters on the
+        way down with its path and, unless it is a leaf, leaves again with
+        its position once its subtree is numbered; that is when its term id
+        and flat node are made."""
+        occs, nodes, tids, ends = self.occurrences, self.nodes, self.term_ids, self._ends
+        stack: list[tuple[Term, tuple[int, ...] | int]] = [(root, ())]
+        while stack:
+            term, path = stack.pop()
+            if isinstance(path, int):
+                self._leave(term, path)
+                continue
+            i = len(occs)
+            occs.append(Occurrence(subgoal, path))
+            nodes.append(None)  # type: ignore[arg-type]
+            tids.append(-1)
+            ends.append(i + 1)
+            if isinstance(term, App):
+                args: list[Term] = []
+                head: Term = term
+                while isinstance(head, App):
+                    args.append(head.arg)
+                    head = head.fun
+                stack.append((term, i))
+                for n, arg in enumerate(args):
+                    stack.append((arg, path + (len(args) - n,)))
+                stack.append((head, path + (0,)))
+            elif isinstance(term, Lambda):
+                stack.append((term, i))
+                stack.append((term.body, path + (0,)))
+            else:
+                tid = tids[i] = self._id(_leaf_key(term))
+                nodes[i] = Atom(self.term_of[tid])
+
+    def _leave(self, term: Term, i: int) -> None:
+        # The subtree under position i is positions i to ends[i] - 1, so
+        # each child after the first starts where its elder sibling ends.
+        nodes, tids, ends = self.nodes, self.term_ids, self._ends
+        end = ends[i] = len(self.occurrences)
+        if isinstance(term, Lambda):
+            tids[i] = self._id((Lambda, term.binder, tids[i + 1]))
+            nodes[i] = LambdaNode(term.binder, nodes[i + 1])
+            return
+        children = []
+        child = i + 1
+        while child < end:
+            children.append(child)
+            child = ends[child]
+        tid = tids[children[0]]
+        for child in children[1:]:
+            tid = self._id((App, tid, tids[child]))
+        tids[i] = tid
+        node = nodes[i] = AppNode(tuple(nodes[c] for c in children))
+        head = node.children[0]
+        if isinstance(head, Atom) and isinstance(head.term, Const):
+            self.widest = max(self.widest, len(children) - 1)
+
+    def _id(self, key: tuple) -> int:
+        tid = self._cons.get(key)
+        if tid is None:
+            tid = self._cons[key] = len(self.term_of)
+            kind = key[0]
+            if kind is App:
+                term: Term = App(self.term_of[key[1]], self.term_of[key[2]])
+            elif kind is Lambda:
+                term = Lambda(key[1], self.term_of[key[2]])
+            else:
+                term = kind(key[1])
+            self.term_of.append(term)
+            self._canonical[id(term)] = tid
+        return tid
+
+    def term_id(self, term: Term, extra: dict[tuple, int]) -> int:
+        """The id of any term, equal for equal terms.  A term that is not a
+        subterm of the goal gets an id from `extra`, a table the caller owns,
+        numbered after the goal's ids."""
+        tid = self._canonical.get(id(term))
+        if tid is not None:
+            return tid
+        done: list[int] = []
+        stack: list[tuple[Term, bool]] = [(term, False)]
+        while stack:
+            t, ready = stack.pop()
+            if not ready and isinstance(t, App):
+                stack += ((t, True), (t.arg, False), (t.fun, False))
+                continue
+            if not ready and isinstance(t, Lambda):
+                stack += ((t, True), (t.body, False))
+                continue
+            if isinstance(t, App):
+                arg = done.pop()
+                key: tuple = (App, done.pop(), arg)
+            elif isinstance(t, Lambda):
+                key = (Lambda, t.binder, done.pop())
+            else:
+                key = _leaf_key(t)
+            tid = self._cons.get(key)
+            if tid is None:
+                tid = extra.setdefault(key, len(self.term_of) + len(extra))
+            done.append(tid)
+        return done[0]
+
+    def position(self, occurrence: Occurrence) -> int:
+        """The preorder position of an occurrence; IndexError if the goal has none."""
+        i = self.positions.get(occurrence)
+        if i is None:
+            raise IndexError(f"no node at path {occurrence.path} in subgoal {occurrence.subgoal}")
+        return i
 
 
 def enumerate_occurrences(goal: Goal, subgoal: int) -> list[tuple[Occurrence, Term]]:
@@ -184,41 +347,25 @@ def enumerate_occurrences(goal: Goal, subgoal: int) -> list[tuple[Occurrence, Te
     Each entry pairs the occurrence with the (re-curried) term it denotes.
     The root comes first; the order is deterministic.
     """
-    out: list[tuple[Occurrence, Term]] = []
-
-    def walk(node: FlatNode, path: tuple[int, ...]) -> None:
-        out.append((Occurrence(subgoal, path), unflatten(node)))
-        for i, child in enumerate(node_children(node)):
-            walk(child, path + (i,))
-
-    walk(flatten_subgoal(goal, subgoal), ())
-    return out
+    if not 0 <= subgoal < len(goal.subgoals):
+        raise IndexError(f"subgoal index {subgoal} out of range")
+    index = goal.index
+    span = range(index.starts[subgoal], index.starts[subgoal + 1])
+    return [(index.occurrences[i], index.term_of[index.term_ids[i]]) for i in span]
 
 
 def enumerate_subterms(goal: Goal) -> list[Term]:
     """Distinct terms denoted by occurrences across all subgoals, in first-seen order."""
-    seen: set[Term] = set()
-    out: list[Term] = []
-    for index in range(len(goal.subgoals)):
-        for _, term in enumerate_occurrences(goal, index):
-            if term not in seen:
-                seen.add(term)
-                out.append(term)
-    return out
+    return list(goal.index.subterms)
 
 
 def node_at(goal: Goal, occurrence: Occurrence) -> FlatNode:
-    node = flatten_subgoal(goal, occurrence.subgoal)
-    for step in occurrence.path:
-        children = node_children(node)
-        if not 0 <= step < len(children):
-            raise IndexError(f"no node at path {occurrence.path} in subgoal {occurrence.subgoal}")
-        node = children[step]
-    return node
+    return goal.index.nodes[goal.index.position(occurrence)]
 
 
 def term_at(goal: Goal, occurrence: Occurrence) -> Term:
-    return unflatten(node_at(goal, occurrence))
+    index = goal.index
+    return index.term_of[index.term_ids[index.position(occurrence)]]
 
 
 class ParamPattern(Enum):

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import csv
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
+import lifter
 from lifter.cli import main
 from lifter.ingest import bundled_corpus_dir
 from lifter.stdlib import STDLIB_NAMES, default_heuristics_dir
@@ -238,3 +242,31 @@ class TestConsoleScript:
         )
         assert proc.returncode == 1
         assert proc.stdout == "Assertion failed.\n"
+
+
+class TestModuleEntry:
+    """`python -m lifter` runs the same CLI without an installed script."""
+
+    def run(self, *argv):
+        src = Path(lifter.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        return subprocess.run(
+            [sys.executable, "-m", "lifter", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    def test_success_exits_zero(self):
+        proc = self.run("assert", "--case", case_path("exec"), "--args", "model",
+                        "--heuristic", heuristic_path("h2_deepest"))
+        assert (proc.returncode, proc.stdout) == (0, "Assertion succeeded.\n")
+
+    def test_failure_exits_one(self):
+        proc = self.run("assert", "--case", case_path("itrev"), "--args", "on_itrev",
+                        "--heuristic", heuristic_path("h1_no_constant"))
+        assert (proc.returncode, proc.stdout) == (1, "Assertion failed.\n")
+
+    def test_bad_input_exits_two(self):
+        proc = self.run("assert", "--case", case_path("itrev"), "--args", "nope",
+                        "--heuristic", heuristic_path("h1_no_constant"))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "no argument set 'nope'" in proc.stderr

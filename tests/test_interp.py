@@ -42,6 +42,7 @@ from lifter.terms import (
     Occurrence,
     RuleRecord,
     Schematic,
+    term_at,
 )
 
 from helpers import desugar_occurrence_quants, random_closed_quant
@@ -230,7 +231,7 @@ class TestOccurrenceRelations:
         inner_head = Occurrence(0, (2, 3, 0))
         for slot, term in enumerate((Free("is1"), Free("s"), Free("stk"))):
             arg = Occurrence(0, (2, 3, slot + 1))
-            assert e._term(arg) == term
+            assert term_at(exec_case.goal, arg) == term
             assert e.atomic(AtomicName.IS_NTH_ARGUMENT_OF, (arg, slot, inner_head))
 
     def test_lambda_body_is_not_an_argument(self):
@@ -262,6 +263,10 @@ class TestOccurrenceRelations:
         e, _ = ev(itrev_case, "model")
         assert e.atomic(AtomicName.ARE_SAME_TERM, (Free("xs"), Free("xs")))
         assert not e.atomic(AtomicName.ARE_SAME_TERM, (Free("xs"), Const("xs")))
+        # Terms absent from the goal compare by structure too.
+        absent = App(Const("zz"), Free("q"))
+        assert e.atomic(AtomicName.ARE_SAME_TERM, (absent, App(Const("zz"), Free("q"))))
+        assert not e.atomic(AtomicName.ARE_SAME_TERM, (absent, App(Const("zz"), Free("r"))))
 
 
 class TestArgsAtomics:
