@@ -57,11 +57,8 @@ from .terms import (
     depth_of,
     enumerate_occurrences,
     enumerate_subterms,
-    flatten,
     is_well_formed,
-    node_at,
     term_at,
-    unflatten,
 )
 
 __version__ = "0.1.0"
@@ -104,12 +101,10 @@ __all__ = [
     "enumerate_subterms",
     "evaluate",
     "find_witnesses",
-    "flatten",
     "is_well_formed",
     "load_case_file",
     "load_corpus_dir",
     "load_stdlib",
-    "node_at",
     "parse_assertion",
     "parse_case_file",
     "parse_term_sexp",
@@ -118,5 +113,4 @@ __all__ = [
     "render_term_sexp",
     "sort_check",
     "term_at",
-    "unflatten",
 ]

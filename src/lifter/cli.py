@@ -40,7 +40,7 @@ def _arg_set(case: CorpusCase, args_id: str) -> InductArgs:
 def _load_heuristic_file(path: str) -> object:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise LifterError(f"cannot read {path}: {exc}") from exc
     try:
         return sort_check(parse_assertion(text))

@@ -307,7 +307,7 @@ def load_case_file(path: str | Path) -> CorpusCase:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CaseError(f"cannot read {path}: {exc}") from exc
     try:
         return parse_case_file(text)

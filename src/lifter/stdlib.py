@@ -69,7 +69,7 @@ def load_stdlib(directory: str | Path | None = None) -> HeuristicSet:
         path = directory / f"{name}.lifter"
         try:
             text = path.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise HeuristicsError(f"cannot read {path.name}: {exc}") from exc
         try:
             entries.append((name, sort_check(parse_assertion(text))))

@@ -2,19 +2,21 @@
 
 Terms are curried: an application node has exactly one function and one
 argument, and bound variables are de Bruijn indices.  Assertions never see
-that shape directly.  They work on the flattened view, where a head and all
-of its arguments are siblings of one node, so argument positions and depths
-match the way a goal reads when printed.
+that shape directly.  Their nodes follow the way a goal reads when
+printed: a head and all of its arguments are the children of one
+application node, head first, and a lambda's body is its only child.
 
-An Occurrence addresses one node of the flattened tree of one subgoal by
-its child-index path from the root.  Two occurrences are equal exactly when
-their subgoal index and path are equal, even if they denote equal terms.
+An Occurrence addresses one such node of one subgoal by its child-index
+path from the root.  Two occurrences are equal exactly when their subgoal
+index and path are equal, even if they denote equal terms.
 
-A goal's occurrences, flat nodes and distinct subterms come from one
-GoalIndex, built in one iterative pass the first time `Goal.index` is read
-and cached on the goal for its lifetime.  The index interns terms, so the
-interpreter compares them by id; `enumerate_occurrences`,
-`enumerate_subterms`, `node_at` and `term_at` are views over it.
+A goal's occurrences and distinct subterms come from one GoalIndex, built
+in one iterative pass the first time `Goal.index` is read and cached on
+the goal for its lifetime.  The index hash-conses terms: each occurrence
+carries the id of the term it denotes, and each id has one canonical Term.
+The interpreter compares terms by id and reads a node's kind from the type
+of its term; `enumerate_occurrences`, `enumerate_subterms` and `term_at`
+are views over the index.
 """
 
 from __future__ import annotations
@@ -95,72 +97,6 @@ def is_well_formed(term: Term, binders: int = 0) -> bool:
 
 
 @dataclass(frozen=True)
-class Atom:
-    term: Term
-
-
-@dataclass(frozen=True)
-class AppNode:
-    # Child 0 is the head; children 1..k are its arguments, in order.
-    children: tuple["FlatNode", ...]
-
-    def __post_init__(self) -> None:
-        if len(self.children) < 2:
-            raise ValueError("an application node needs a head and at least one argument")
-
-
-@dataclass(frozen=True)
-class LambdaNode:
-    binder: str
-    body: "FlatNode"
-
-
-FlatNode = Union[Atom, AppNode, LambdaNode]
-
-
-def flatten(term: Term) -> FlatNode:
-    """Collapse a curried application spine into one node per printed call."""
-    match term:
-        case App():
-            head: Term = term
-            args: list[Term] = []
-            while isinstance(head, App):
-                args.append(head.arg)
-                head = head.fun
-            args.reverse()
-            return AppNode((flatten(head), *(flatten(a) for a in args)))
-        case Lambda(binder, body):
-            return LambdaNode(binder, flatten(body))
-        case _:
-            return Atom(term)
-
-
-def unflatten(node: FlatNode) -> Term:
-    """Rebuild the curried term a flattened node denotes."""
-    match node:
-        case Atom(term):
-            return term
-        case LambdaNode(binder, body):
-            return Lambda(binder, unflatten(body))
-        case AppNode(children):
-            term = unflatten(children[0])
-            for child in children[1:]:
-                term = App(term, unflatten(child))
-            return term
-    raise TypeError(f"not a flattened node: {node!r}")
-
-
-def node_children(node: FlatNode) -> tuple[FlatNode, ...]:
-    match node:
-        case AppNode(children):
-            return children
-        case LambdaNode(_, body):
-            return (body,)
-        case _:
-            return ()
-
-
-@dataclass(frozen=True)
 class Goal:
     subgoals: tuple[Term, ...]
 
@@ -196,14 +132,13 @@ class GoalIndex:
     Occurrences of all subgoals are numbered in preorder, subgoal 0 first
     and each head before its arguments.  Terms are hash-consed: a term's id
     is keyed on its constructor and its children's ids, the partial
-    applications of a flattened call included, and each id has one
-    canonical Term built from its children's canonical terms.  Two terms are
-    equal exactly when their ids are, so no comparison ever walks a term.
+    applications of a printed call included, and each id has one canonical
+    Term built from its children's canonical terms.  Two terms are equal
+    exactly when their ids are, so no comparison ever walks a term.
     """
 
     def __init__(self, goal: Goal):
         self.occurrences: list[Occurrence] = []
-        self.nodes: list[FlatNode] = []
         self.term_ids: list[int] = []
         self._ends: list[int] = []
         self.term_of: list[Term] = []
@@ -232,11 +167,11 @@ class GoalIndex:
             self.occs_of.setdefault(tid, []).append(occ)
 
     def _walk(self, subgoal: int, root: Term) -> None:
-        """Number the flattened nodes of one subgoal.  A node enters on the
-        way down with its path and, unless it is a leaf, leaves again with
-        its position once its subtree is numbered; that is when its term id
-        and flat node are made."""
-        occs, nodes, tids, ends = self.occurrences, self.nodes, self.term_ids, self._ends
+        """Number the nodes of one subgoal.  A node enters on the way down
+        with its path and, unless it is a leaf, leaves again with its
+        position once its subtree is numbered; that is when its term id is
+        made."""
+        occs, tids, ends = self.occurrences, self.term_ids, self._ends
         stack: list[tuple[Term, tuple[int, ...] | int]] = [(root, ())]
         while stack:
             term, path = stack.pop()
@@ -245,7 +180,6 @@ class GoalIndex:
                 continue
             i = len(occs)
             occs.append(Occurrence(subgoal, path))
-            nodes.append(None)  # type: ignore[arg-type]
             tids.append(-1)
             ends.append(i + 1)
             if isinstance(term, App):
@@ -262,17 +196,15 @@ class GoalIndex:
                 stack.append((term, i))
                 stack.append((term.body, path + (0,)))
             else:
-                tid = tids[i] = self._id(_leaf_key(term))
-                nodes[i] = Atom(self.term_of[tid])
+                tids[i] = self._id(_leaf_key(term))
 
     def _leave(self, term: Term, i: int) -> None:
         # The subtree under position i is positions i to ends[i] - 1, so
         # each child after the first starts where its elder sibling ends.
-        nodes, tids, ends = self.nodes, self.term_ids, self._ends
+        tids, ends = self.term_ids, self._ends
         end = ends[i] = len(self.occurrences)
         if isinstance(term, Lambda):
             tids[i] = self._id((Lambda, term.binder, tids[i + 1]))
-            nodes[i] = LambdaNode(term.binder, nodes[i + 1])
             return
         children = []
         child = i + 1
@@ -283,9 +215,7 @@ class GoalIndex:
         for child in children[1:]:
             tid = self._id((App, tid, tids[child]))
         tids[i] = tid
-        node = nodes[i] = AppNode(tuple(nodes[c] for c in children))
-        head = node.children[0]
-        if isinstance(head, Atom) and isinstance(head.term, Const):
+        if isinstance(self.term_of[tids[children[0]]], Const):
             self.widest = max(self.widest, len(children) - 1)
 
     def _id(self, key: tuple) -> int:
@@ -342,7 +272,7 @@ class GoalIndex:
 
 
 def enumerate_occurrences(goal: Goal, subgoal: int) -> list[tuple[Occurrence, Term]]:
-    """Every node of the flattened subgoal, depth-first, head before arguments.
+    """Every node of the subgoal, depth-first, head before arguments.
 
     Each entry pairs the occurrence with the (re-curried) term it denotes.
     The root comes first; the order is deterministic.
@@ -357,10 +287,6 @@ def enumerate_occurrences(goal: Goal, subgoal: int) -> list[tuple[Occurrence, Te
 def enumerate_subterms(goal: Goal) -> list[Term]:
     """Distinct terms denoted by occurrences across all subgoals, in first-seen order."""
     return list(goal.index.subterms)
-
-
-def node_at(goal: Goal, occurrence: Occurrence) -> FlatNode:
-    return goal.index.nodes[goal.index.position(occurrence)]
 
 
 def term_at(goal: Goal, occurrence: Occurrence) -> Term:

@@ -5,9 +5,17 @@ each unflattening every node, and compares terms structurally.  It is
 slow and recurses on deep terms, and it is kept only as the oracle the
 differential tests compare `lifter.interp` and the `lifter.terms` views
 against.  Do not optimise it.
+
+It also holds the flattened node tree (`Atom`, `AppNode`, `LambdaNode`,
+`flatten`, `unflatten`, `node_children`) that lifter built beside its index
+before the interpreter read node kinds from interned terms.  The term tests
+use it as a recursive oracle for occurrence counts and depths.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Union
 
 from lifter.interp import classify_clause_params
 from lifter.lang import (
@@ -30,23 +38,84 @@ from lifter.lang import (
     TermsIn,
 )
 from lifter.terms import (
-    AppNode,
-    Atom,
+    App,
     Bound,
     Const,
     Context,
-    FlatNode,
     Free,
     Goal,
     InductArgs,
-    LambdaNode,
+    Lambda,
     Occurrence,
     Schematic,
     Term,
-    flatten,
-    node_children,
-    unflatten,
 )
+
+
+@dataclass(frozen=True)
+class Atom:
+    term: Term
+
+
+@dataclass(frozen=True)
+class AppNode:
+    # Child 0 is the head; children 1..k are its arguments, in order.
+    children: tuple["FlatNode", ...]
+
+    def __post_init__(self) -> None:
+        if len(self.children) < 2:
+            raise ValueError("an application node needs a head and at least one argument")
+
+
+@dataclass(frozen=True)
+class LambdaNode:
+    binder: str
+    body: "FlatNode"
+
+
+FlatNode = Union[Atom, AppNode, LambdaNode]
+
+
+def flatten(term: Term) -> FlatNode:
+    """Collapse a curried application spine into one node per printed call."""
+    match term:
+        case App():
+            head: Term = term
+            args: list[Term] = []
+            while isinstance(head, App):
+                args.append(head.arg)
+                head = head.fun
+            args.reverse()
+            return AppNode((flatten(head), *(flatten(a) for a in args)))
+        case Lambda(binder, body):
+            return LambdaNode(binder, flatten(body))
+        case _:
+            return Atom(term)
+
+
+def unflatten(node: FlatNode) -> Term:
+    """Rebuild the curried term a flattened node denotes."""
+    match node:
+        case Atom(term):
+            return term
+        case LambdaNode(binder, body):
+            return Lambda(binder, unflatten(body))
+        case AppNode(children):
+            term = unflatten(children[0])
+            for child in children[1:]:
+                term = App(term, unflatten(child))
+            return term
+    raise TypeError(f"not a flattened node: {node!r}")
+
+
+def node_children(node: FlatNode) -> tuple[FlatNode, ...]:
+    match node:
+        case AppNode(children):
+            return children
+        case LambdaNode(_, body):
+            return (body,)
+        case _:
+            return ()
 
 
 def flatten_subgoal(goal: Goal, subgoal: int) -> FlatNode:

@@ -30,10 +30,10 @@ from lifter.terms import (
     Free,
     InductArgs,
     enumerate_occurrences,
-    flatten,
 )
 
 from helpers import desugar_occurrence_quants, random_assertion, random_closed_quant
+from oracle_interp import flatten
 from test_terms import tree_height
 
 

@@ -95,6 +95,30 @@ class TestAssert:
         assert rc == 2
         assert capsys.readouterr().out == ""
 
+    def test_non_utf8_heuristic_file_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "latin.lifter"
+        bad.write_bytes(b"EX t : term . \xff\n")
+        rc = main([
+            "assert", "--case", case_path("itrev"), "--args", "model",
+            "--heuristic", str(bad),
+        ])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "latin.lifter" in captured.err
+
+    def test_non_utf8_case_file_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "latin.case"
+        bad.write_bytes((bundled_corpus_dir() / "itrev.case").read_bytes() + b"\xff\n")
+        rc = main([
+            "assert", "--case", str(bad), "--args", "model",
+            "--heuristic", heuristic_path("h1_no_constant"),
+        ])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "latin.case" in captured.err
+
     def test_witness_bindings_go_to_stderr(self, capsys):
         rc = main([
             "assert", "--case", case_path("itrev"), "--args", "model",
@@ -160,6 +184,17 @@ class TestTestAll:
         assert rc == 0
         assert "h7_rule_args_generalized: False" in lines
         assert lines[-1] == "Out of 9 assertions, 7 assertions succeeded."
+
+    def test_non_utf8_library_file_exits_two(self, tmp_path, capsys):
+        library = tmp_path / "heuristics"
+        shutil.copytree(default_heuristics_dir(), library)
+        (library / "h2_deepest.lifter").write_bytes(b"\xff\n")
+        rc = main(["test-all", "--case", case_path("itrev"), "--args", "model",
+                   "--heuristics", str(library)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "h2_deepest.lifter" in captured.err
 
 
 class TestExtract:

@@ -44,9 +44,7 @@ from lifter.terms import (
     RuleRecord,
     enumerate_occurrences,
     enumerate_subterms,
-    node_at,
     term_at,
-    unflatten,
 )
 
 from helpers import random_assertion, terms_strategy
@@ -134,7 +132,6 @@ def test_views_match_oracle_walks(goal):
         assert enumerate_occurrences(goal, subgoal) == expected
         for occ, term in expected:
             assert term_at(goal, occ) == term
-            assert unflatten(node_at(goal, occ)) == term
     assert enumerate_subterms(goal) == oracle.enumerate_subterms(goal)
 
 

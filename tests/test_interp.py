@@ -216,6 +216,8 @@ class TestOccurrenceRelations:
         assert not e.atomic(
             AtomicName.IS_AN_ARGUMENT_OF, (Occurrence(0, (2, 1)), head)
         )
+        # Nor is a slot one past the last argument.
+        assert not e.atomic(AtomicName.IS_AN_ARGUMENT_OF, (Occurrence(0, (1, 3)), head))
 
     def test_nth_argument_positions(self, itrev_case):
         e, _ = ev(itrev_case, "model")
@@ -225,6 +227,22 @@ class TestOccurrenceRelations:
         assert not e.atomic(
             AtomicName.IS_NTH_ARGUMENT_OF, (Occurrence(0, (1, 2)), 0, head)
         )
+        assert not e.atomic(
+            AtomicName.IS_NTH_ARGUMENT_OF, (Occurrence(0, (1, 3)), 2, head)
+        )
+
+    def test_stale_paths_decide_from_path_alone(self, itrev_case):
+        # Neither atomic looks the node up, so a path the goal lacks still
+        # counts; the oracle reads them the same way.
+        import oracle_interp as oracle
+
+        new, args = ev(itrev_case, "model")
+        old = oracle.Evaluator(itrev_case.goal, itrev_case.context, args)
+        for e in (new, old):
+            assert e.atomic(
+                AtomicName.IS_IN_TERM_OCCURRENCE, (Occurrence(0, (7,)), Occurrence(0, ()))
+            )
+            assert e.atomic(AtomicName.IS_AT_DEEPEST, (Occurrence(0, (9, 9, 9)),))
 
     def test_exec_inner_call_argument_positions(self, exec_case):
         e, _ = ev(exec_case, "alt")
@@ -343,7 +361,8 @@ class TestDeepest:
 
     def test_agrees_with_height_oracle_across_corpus(self, corpus_pairs):
         from test_terms import tree_height
-        from lifter.terms import enumerate_occurrences, flatten
+        from lifter.terms import enumerate_occurrences
+        from oracle_interp import flatten
 
         for case, _, args in corpus_pairs:
             e = Evaluator(case.goal, case.context, args)
