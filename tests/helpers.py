@@ -37,7 +37,7 @@ from lifter.terms import App, Bound, Const, Free, Lambda, Schematic
 _NAMES = ["x0", "x1", "x2", "y0", "y1", "z0"]
 
 
-def _random_domain(rng: random.Random, env: dict[str, Sort]):
+def random_domain(rng: random.Random, env: dict[str, Sort]):
     term_vars = [v for v, s in env.items() if s is Sort.TERM]
     choices = [
         AllNumbers(),
@@ -89,7 +89,7 @@ def random_assertion(rng: random.Random, env: dict[str, Sort] | None = None, dep
         )
     kind = rng.choice([QuantKind.EXISTS, QuantKind.FORALL])
     var = rng.choice(_NAMES)
-    domain = _random_domain(rng, env)
+    domain = random_domain(rng, env)
     body = random_assertion(rng, {**env, var: domain_sort(domain)}, depth + 1)
     return Quant(kind, var, domain, body)
 
@@ -97,7 +97,7 @@ def random_assertion(rng: random.Random, env: dict[str, Sort] | None = None, dep
 def random_closed_quant(rng: random.Random) -> Quant:
     kind = rng.choice([QuantKind.EXISTS, QuantKind.FORALL])
     var = rng.choice(_NAMES)
-    domain = _random_domain(rng, {})
+    domain = random_domain(rng, {})
     body = random_assertion(rng, {var: domain_sort(domain)}, depth=2)
     return Quant(kind, var, domain, body)
 

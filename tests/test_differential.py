@@ -1,9 +1,11 @@
 """Differential tests: the goal index and the interpreter against the oracle.
 
-`oracle_interp` keeps the interpreter as it was before goals had an index:
-three walks per evaluator, each unflattening every node, and terms compared
-by structure.  On random goals, contexts and induct arguments, every
-domain, verdict and witness chain of `lifter` must agree with it.
+`oracle_interp` keeps the interpreter as it was before goals had an index
+or assertions were compiled: three walks per evaluator, each unflattening
+every node, terms compared by structure, and a tree walk over the
+assertion with a dict per binding.  On random goals, contexts and induct
+arguments, every domain, verdict and witness chain of `lifter` must agree
+with it, including on assertions shaped to meet the compiler's rewrites.
 """
 
 from __future__ import annotations
@@ -17,15 +19,28 @@ import oracle_interp as oracle
 from lifter.ingest import parse_term_sexp, render_term_sexp
 from lifter.interp import Evaluator, evaluate, find_witnesses
 from lifter.lang import (
+    AllNumbers,
+    AllOccs,
+    AllRules,
+    AllTerms,
     And,
+    Atomic,
+    AtomicName,
+    BoolLit,
     Imp,
+    Modifier,
     Not,
     OccsOf,
     Or,
     Pattern,
     Quant,
+    QuantKind,
     SIGNATURES,
     Sort,
+    TermsIn,
+    domain_sort,
+    parse_assertion,
+    sort_check,
 )
 from lifter.stdlib import load_stdlib
 from lifter.terms import (
@@ -47,7 +62,7 @@ from lifter.terms import (
     term_at,
 )
 
-from helpers import random_assertion, terms_strategy
+from helpers import random_assertion, random_domain, terms_strategy
 
 STDLIB = load_stdlib().entries
 
@@ -190,3 +205,166 @@ def test_atomics_match_oracle_pointwise(scenario, seed):
         for _ in range(20):
             values = tuple(rng.choice(pools[slot]) for slot in signature)
             assert new.atomic(name, values) == old.atomic(name, values), (name, values)
+
+
+# Names the rewrite shapes bind; random_assertion binds them too, so inner
+# binders shadow outer ones.
+NAMES = ["x0", "x1", "y0"]
+KINDS = [QuantKind.EXISTS, QuantKind.FORALL]
+
+
+def and_tree(rng: random.Random, parts: list):
+    """parts joined by /\\ in a random association."""
+    parts = list(parts)
+    while len(parts) > 1:
+        i = rng.randrange(len(parts) - 1)
+        parts[i:i + 2] = [And(parts[i], parts[i + 1])]
+    return parts[0]
+
+
+def small(rng: random.Random, env: dict):
+    return random_assertion(rng, env, depth=3)
+
+
+def beside(rng: random.Random, env: dict, core):
+    """core, perhaps beside a formula that reads the variables of env after
+    core has bound its own."""
+    roll = rng.random()
+    if roll < 0.3:
+        return And(core, small(rng, env))
+    if roll < 0.5:
+        return And(small(rng, env), core)
+    return core
+
+
+def quantify(prefix: list, core):
+    for kind, var, domain in reversed(prefix):
+        core = Quant(kind, var, domain, core)
+    return core
+
+
+def guard_shape(rng: random.Random):
+    """Q n : number . ... with is_nth_argument_of (o, n, h) as a conjunct in
+    any position (rule N), or under Not or Or, or pinning an outer number,
+    where it must narrow nothing.  o and h may be one variable.  Some
+    shapes are one EX chain down to n, so that find_witnesses reports the
+    number the rule picked."""
+    prefix, env = [], {}
+    chain = rng.random() < 0.5
+
+    def kind():
+        return QuantKind.EXISTS if chain else rng.choice(KINDS)
+
+    def bind(var, domain):
+        prefix.append((kind(), var, domain))
+        env[var] = domain_sort(domain)
+
+    o, h = rng.choice(NAMES), rng.choice(NAMES)
+    if rng.random() < 0.4:
+        bind("t0", rng.choice([AllTerms(), TermsIn(Modifier.INDUCTION)]))
+        bind(o, OccsOf("t0"))
+    else:
+        bind(o, AllOccs())
+    if h != o:
+        bind(h, AllOccs())
+    n = rng.choice([v for v in NAMES if v not in (o, h)])
+    inner = {**env, n: Sort.NUMBER}
+    guard = Atomic(AtomicName.IS_NTH_ARGUMENT_OF, (o, n, h))
+    # Formulas whose value depends on which number n is.
+    pins = [guard, Atomic(AtomicName.PATTERN_IS, (n, h, rng.choice(list(Pattern))))]
+    if "t0" in env:
+        pins.append(Atomic(AtomicName.IS_NTH_INDUCTION_TERM, ("t0", n)))
+    place = rng.choice(["direct", "direct", "not", "or", "outer"])
+    if place == "not":
+        guard = Not(guard)
+    elif place == "or":
+        other = rng.choice([small(rng, inner), BoolLit(True), Not(rng.choice(pins))])
+        guard = Or(guard, other) if rng.random() < 0.5 else Or(other, guard)
+    elif place == "outer":
+        bind("m0", AllNumbers())
+        inner["m0"] = Sort.NUMBER
+        guard = Atomic(AtomicName.IS_NTH_ARGUMENT_OF, (o, "m0", h))
+    conjuncts = [guard, *(small(rng, inner) for _ in range(rng.randint(0, 1 if chain else 2)))]
+    if rng.random() < 0.5:
+        conjuncts.append(rng.choice(pins))
+    rng.shuffle(conjuncts)
+    n_kind = kind()
+    if n_kind is QuantKind.FORALL and rng.random() < 0.5:
+        # ALL n . C1 -> C2 -> ... -> C: the curried form of the dual rule.
+        body = small(rng, inner)
+        for c in reversed(conjuncts):
+            body = Imp(c, body)
+    elif n_kind is QuantKind.FORALL and rng.random() < 0.8:
+        body = Imp(and_tree(rng, conjuncts), small(rng, inner))
+    else:
+        body = and_tree(rng, conjuncts)
+    core = Quant(n_kind, n, AllNumbers(), body)
+    return quantify(prefix, core if chain else beside(rng, env, core))
+
+
+def hoist_shape(rng: random.Random):
+    """EX x . A /\\ B, ALL x . (A /\\ B) -> C and ALL x . A /\\ B, with
+    conjuncts that do and do not mention x, in any order (rule H).  The
+    last shape must not be hoisted; an empty domain tells."""
+    prefix, env = [], {}
+    for _ in range(rng.randint(0, 2)):
+        var, domain = rng.choice(NAMES), random_domain(rng, env)
+        prefix.append((rng.choice(KINDS), var, domain))
+        env[var] = domain_sort(domain)
+    x = rng.choice(NAMES)
+    # Induct arguments often have no arbitrary terms or rules: empty
+    # domains, where ALL x . A /\\ B holds whatever A is.
+    domain = rng.choice([random_domain(rng, env), TermsIn(Modifier.ARBITRARY), AllRules()])
+    inner = {**env, x: domain_sort(domain)}
+    # Formulas over the outer scope do not mention x, unless x shadows an
+    # outer name of its own sort that they read.
+    outer = env if env.get(x, inner[x]) is inner[x] else {v: s for v, s in env.items() if v != x}
+    conjuncts = [small(rng, outer) for _ in range(rng.randint(1, 2))]
+    conjuncts += [small(rng, inner) for _ in range(rng.randint(0, 2))]
+    rng.shuffle(conjuncts)
+    body = and_tree(rng, conjuncts)
+    shape = rng.choice(["exists", "forall_imp", "forall_and"])
+    if shape == "exists":
+        core = Quant(QuantKind.EXISTS, x, domain, body)
+    elif shape == "forall_imp":
+        core = Quant(QuantKind.FORALL, x, domain, Imp(body, small(rng, inner)))
+    else:
+        core = Quant(QuantKind.FORALL, x, domain, body)
+    return quantify(prefix, beside(rng, env, core))
+
+
+@given(scenarios(), st.lists(st.integers(0, 2**48), min_size=4, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_rewrite_shapes_match_oracle(scenario, seeds):
+    goal, context, args = scenario
+    evaluator = Evaluator(goal, context, args)
+    for seed in seeds:
+        rng = random.Random(seed)
+        assertion = sort_check(rng.choice([guard_shape, hoist_shape])(rng))
+        if steps_bound(assertion, evaluator) <= MAX_STEPS:
+            assert_agrees(assertion, goal, context, args)
+
+
+# Rule N on the corpus goals, whose applications have constant heads with
+# definitions: the EX chains report the number the rule picked.
+GUARD_TEXTS = [
+    "EX h : term_occurrence . EX o : term_occurrence . EX n : number ."
+    " is_nth_argument_of ( o , n , h )",
+    "EX h : term_occurrence . EX o : term_occurrence . EX n : number ."
+    " pattern_is ( n , h , all_constructor ) /\\ is_nth_argument_of ( o , n , h )",
+    "EX h : term_occurrence . EX o : term_occurrence . EX n : number ."
+    " is_nth_argument_of ( o , n , h ) /\\ pattern_is ( n , h , all_only_var )",
+    "ALL h : term_occurrence . ALL o : term_occurrence . ALL n : number ."
+    " is_nth_argument_of ( o , n , h ) -> Not ( pattern_is ( n , h , mixed ) )",
+    "EX h : term_occurrence . EX o : term_occurrence . EX n : number ."
+    " Not ( is_nth_argument_of ( o , n , h ) ) /\\ pattern_is ( n , h , all_constructor )",
+    "EX h : term_occurrence . EX o : term_occurrence . EX n : number ."
+    " ( is_nth_argument_of ( o , n , h ) \\/ is_atomic h ) /\\ pattern_is ( n , h , all_only_var )",
+]
+
+
+def test_number_guards_on_corpus_match_oracle(corpus_pairs):
+    for text in GUARD_TEXTS:
+        assertion = sort_check(parse_assertion(text))
+        for case, _, args in corpus_pairs:
+            assert_agrees(assertion, case.goal, case.context, args)

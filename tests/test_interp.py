@@ -15,14 +15,13 @@ from hypothesis import strategies as st
 
 from lifter.interp import Evaluator, classify_clause_params, evaluate, find_witnesses
 from lifter.lang import (
-    AllOccs,
     AllRules,
     And,
-    Atomic,
     AtomicName,
     BoolLit,
     Imp,
     Not,
+    Or,
     Pattern,
     Quant,
     QuantKind,
@@ -40,7 +39,6 @@ from lifter.terms import (
     InductArgs,
     Lambda,
     Occurrence,
-    RuleRecord,
     Schematic,
     term_at,
 )
@@ -478,3 +476,88 @@ class TestWitnesses:
         h1 = heuristic("h1_no_constant", stdlib_set)
         args = itrev_case.arg_sets["model"]
         assert find_witnesses(h1, itrev_case.goal, itrev_case.context, args) == []
+
+
+class TestTraceHooks:
+    """The benchmark's traced run counts work by wrapping `atomic` and
+    `domain_values` on one evaluator; compiled code must call both through
+    the instance."""
+
+    @staticmethod
+    def counted(evaluator):
+        counts = {"atomic": 0, "items": 0}
+        atomic, domain_values = evaluator.atomic, evaluator.domain_values
+
+        def counted_atomic(name, values):
+            counts["atomic"] += 1
+            return atomic(name, values)
+
+        def counted_domain_values(domain, env):
+            values = domain_values(domain, env)
+            counts["items"] += len(values)
+            return values
+
+        evaluator.atomic = counted_atomic
+        evaluator.domain_values = counted_domain_values
+        return counts
+
+    def test_run_routes_through_the_instance(self, itrev_case, stdlib_set):
+        e, _ = ev(itrev_case, "model")
+        counts = self.counted(e)
+        assert e.run(heuristic("h1_no_constant", stdlib_set))
+        assert counts["atomic"] > 0 and counts["items"] > 0
+
+    def test_witnesses_route_through_the_instance(self, itrev_case, stdlib_set):
+        # h1 has no leading EX, so its witness chain is empty without any
+        # evaluation; h3's is not.
+        e, _ = ev(itrev_case, "model")
+        counts = self.counted(e)
+        assert e.witnesses(heuristic("h1_no_constant", stdlib_set)) == []
+        witnesses = e.witnesses(heuristic("h3_same_recursive_occurrence", stdlib_set))
+        assert [var for var, _ in witnesses] == ["t1", "to1"]
+        assert counts["atomic"] > 0 and counts["items"] > 0
+
+
+class TestDeepChains:
+    """Chains of one connective 900 links deep each get a verdict: the
+    compiler folds Not chains and flattens And, Or and -> chains."""
+
+    DEPTH = 900
+
+    @pytest.mark.parametrize(
+        "text, verdict",
+        [
+            ("Not " * DEPTH + "True", True),
+            ("Not " * (DEPTH - 1) + "True", False),
+            (" /\\ ".join(["True"] * DEPTH), True),
+            (" /\\ ".join(["True"] * (DEPTH - 1) + ["False"]), False),
+            (" \\/ ".join(["False"] * DEPTH), False),
+            (" \\/ ".join(["False"] * (DEPTH - 1) + ["True"]), True),
+            (" -> ".join(["True"] * (DEPTH - 1) + ["False"]), False),
+            (" -> ".join(["True"] * (DEPTH - 2) + ["False", "False"]), True),
+        ],
+        ids=["not-even", "not-odd", "and-true", "and-false", "or-false", "or-true",
+             "imp-false", "imp-true"],
+    )
+    def test_chain_gets_its_verdict(self, itrev_case, text, verdict):
+        assertion = sort_check(parse_assertion(text))
+        args = itrev_case.arg_sets["model"]
+        assert evaluate(assertion, itrev_case.goal, itrev_case.context, args) is verdict
+
+    @pytest.mark.parametrize("shape", ["not", "and", "or", "imp"])
+    def test_chain_takes_no_stack_per_link(self, itrev_case, shape):
+        # Built as a tree, since the parser itself recurses once per link;
+        # 5,000 links is far past Python's default recursion limit.
+        links = 5000
+        leaf = BoolLit(shape != "or")
+        node = leaf
+        for _ in range(links):
+            if shape == "not":
+                node = Not(node)
+            elif shape == "imp":
+                node = Imp(BoolLit(True), node)
+            else:
+                node = (And if shape == "and" else Or)(node, leaf)
+        args = itrev_case.arg_sets["model"]
+        expected = shape != "or"
+        assert evaluate(node, itrev_case.goal, itrev_case.context, args) is expected
