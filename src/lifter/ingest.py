@@ -84,32 +84,56 @@ def _head_of(node: SList) -> str:
     return first.text if isinstance(first, SAtom) else ""
 
 
+_LEAF_KINDS = {"const": Const, "free": Free, "schematic": Schematic}
+
+
 def _term_from_sexp(node: Sexp) -> Term:
-    form = _expect_list(node)
-    head = _head_of(form)
-    rest = form.items[1:]
-    try:
-        if head in ("const", "free", "schematic"):
-            if len(rest) != 1:
-                raise _fail(form, f"({head} ...) takes one name")
-            name = _expect_string(rest[0], "name")
-            kind = {"const": Const, "free": Free, "schematic": Schematic}[head]
-            return kind(name)
-        if head == "bound":
-            if len(rest) != 1 or not isinstance(rest[0], SAtom) or not rest[0].text.isdigit():
-                raise _fail(form, "(bound ...) takes one natural number")
-            return Bound(int(rest[0].text))
-        if head == "abs":
-            if len(rest) != 2:
-                raise _fail(form, "(abs ...) takes a binder name and a body")
-            return Lambda(_expect_string(rest[0], "binder name"), _term_from_sexp(rest[1]))
-        if head == "app":
-            if len(rest) != 2:
-                raise _fail(form, "(app ...) takes two terms")
-            return App(_term_from_sexp(rest[0]), _term_from_sexp(rest[1]))
-    except ValueError as exc:
-        raise _fail(form, str(exc)) from exc
-    raise _fail(form, f"unknown term keyword '{head}'")
+    """The term a form spells.  Forms are checked in the order a recursive
+    descent visits them, so the first fault in the text is the one reported,
+    but an explicit stack stands in for the recursion: a term may nest as
+    deep as memory allows."""
+    built: list[Term] = []
+    # Forms still to read, and (form, binder) steps that pop the terms built
+    # for a form's children and build its App (binder None) or Lambda.
+    todo: list = [node]
+    while todo:
+        item = todo.pop()
+        if type(item) is tuple:
+            form, binder = item
+            last = built.pop()
+            try:
+                built.append(App(built.pop(), last) if binder is None else Lambda(binder, last))
+            except ValueError as exc:
+                raise _fail(form, str(exc)) from exc
+            continue
+        form = _expect_list(item)
+        head = _head_of(form)
+        rest = form.items[1:]
+        try:
+            if head in _LEAF_KINDS:
+                if len(rest) != 1:
+                    raise _fail(form, f"({head} ...) takes one name")
+                built.append(_LEAF_KINDS[head](_expect_string(rest[0], "name")))
+            elif head == "bound":
+                if len(rest) != 1 or not isinstance(rest[0], SAtom) or not rest[0].text.isdigit():
+                    raise _fail(form, "(bound ...) takes one natural number")
+                built.append(Bound(int(rest[0].text)))
+            elif head == "abs":
+                if len(rest) != 2:
+                    raise _fail(form, "(abs ...) takes a binder name and a body")
+                todo.append((form, _expect_string(rest[0], "binder name")))
+                todo.append(rest[1])
+            elif head == "app":
+                if len(rest) != 2:
+                    raise _fail(form, "(app ...) takes two terms")
+                todo.append((form, None))
+                todo.append(rest[1])
+                todo.append(rest[0])
+            else:
+                raise _fail(form, f"unknown term keyword '{head}'")
+        except ValueError as exc:
+            raise _fail(form, str(exc)) from exc
+    return built[0]
 
 
 def parse_term_sexp(text: str) -> Term:
@@ -162,8 +186,7 @@ def _parse_clauses(form: SList, name: str) -> tuple[ClausePattern, ...]:
         params: list[ParamPattern] = []
         for tag in clause.items[1:]:
             if not isinstance(tag, SAtom) or tag.text not in ("var", "constructor"):
-                raise _fail(tag if isinstance(tag, (SAtom, SString, SList)) else clause,
-                            "clause entries are 'var' or 'constructor'")
+                raise _fail(tag, "clause entries are 'var' or 'constructor'")
             params.append(ParamPattern(tag.text))
         clauses.append(ClausePattern(tuple(params)))
     if not clauses:

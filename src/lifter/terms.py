@@ -85,15 +85,17 @@ Term = Union[Const, Free, Schematic, Bound, Lambda, App]
 
 def is_well_formed(term: Term, binders: int = 0) -> bool:
     """True when every de Bruijn index is covered by an enclosing Lambda."""
-    match term:
-        case Bound(index):
-            return index < binders
-        case Lambda(_, body):
-            return is_well_formed(body, binders + 1)
-        case App(fun, arg):
-            return is_well_formed(fun, binders) and is_well_formed(arg, binders)
-        case _:
-            return True
+    todo = [(term, binders)]
+    while todo:
+        term, binders = todo.pop()
+        if isinstance(term, App):
+            todo.append((term.arg, binders))
+            todo.append((term.fun, binders))
+        elif isinstance(term, Lambda):
+            todo.append((term.body, binders + 1))
+        elif isinstance(term, Bound) and term.index >= binders:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

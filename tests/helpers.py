@@ -150,3 +150,15 @@ def desugar_occurrence_quants(node):
             return Imp(desugar_occurrence_quants(lhs), desugar_occurrence_quants(rhs))
         case _:
             return node
+
+
+def deep_case_text(depth: int) -> str:
+    """A case whose one subgoal is `f (f (... (f x)))`, `depth` applications
+    deep, inducting on x.  Written as text: rendering a term recurses."""
+    term = '(app (const "f") ' * depth + '(free "x")' + ")" * depth
+    return (
+        '(case "deep"\n'
+        f"  (goal (subgoal {term}))\n"
+        '  (context (defn "f" (recursive true)) (rule "f.induct" (derived-from "f")))\n'
+        '  (args "x" (on (free "x")) (arbitrary) (rule "f.induct")))\n'
+    )

@@ -14,6 +14,8 @@ from lifter.cli import main
 from lifter.ingest import bundled_corpus_dir
 from lifter.stdlib import STDLIB_NAMES, default_heuristics_dir
 
+from helpers import deep_case_text
+
 # Heuristic outcomes per (case, argument set), columns in shipped order.
 # Worked out by hand on the corpus goals and kept frozen here.
 TRUTH_TABLE = {
@@ -305,3 +307,10 @@ class TestModuleEntry:
                         "--heuristic", heuristic_path("h1_no_constant"))
         assert (proc.returncode, proc.stdout) == (2, "")
         assert "no argument set 'nope'" in proc.stderr
+
+    def test_deep_term_gets_a_verdict(self, tmp_path):
+        case = tmp_path / "deep.case"
+        case.write_text(deep_case_text(3000), encoding="utf-8")
+        proc = self.run("assert", "--case", str(case), "--args", "x",
+                        "--heuristic", heuristic_path("h2_deepest"))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "Assertion succeeded.\n", "")

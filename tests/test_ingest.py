@@ -15,11 +15,11 @@ from lifter.ingest import (
     render_case_file,
     render_term_sexp,
 )
-from lifter.interp import classify_clause_params
+from lifter.interp import classify_clause_params, evaluate
 from lifter.lang import Pattern
 from lifter.terms import App, Bound, Const, Free, Lambda, ParamPattern, Schematic
 
-from helpers import terms_strategy
+from helpers import deep_case_text, terms_strategy
 
 MINI_CASE = """
 (case "mini"
@@ -63,6 +63,18 @@ class TestTermSexp:
     def test_trailing_content_rejected(self):
         with pytest.raises(CaseError, match="trailing"):
             parse_term_sexp('(free "x") (free "y")')
+
+    @pytest.mark.parametrize("text, message", [
+        ('(app (sym "f")\n (const ""))', "1:6: unknown term keyword 'sym'"),
+        ('(app (const "f")\n (abs "" (bound 7 8)))', "2:10: (bound ...) takes one natural number"),
+        ('(app (abs "" (free "x"))\n (bound 1 2))', "1:6: names must be non-empty strings"),
+        ('(app (const "f") (app (free "") (bound x)))', "1:23: names must be non-empty strings"),
+    ])
+    def test_first_fault_in_reading_order_is_reported(self, text, message):
+        # A form is checked before its children and built after them.
+        with pytest.raises(CaseError) as info:
+            parse_term_sexp(text)
+        assert str(info.value) == message
 
     def test_string_escapes(self):
         assert parse_term_sexp('(const "a\\"b")') == Const('a"b')
@@ -197,3 +209,15 @@ class TestCorpusDir:
         bad.write_text("(case")
         with pytest.raises(CaseError, match="bad.case"):
             load_case_file(bad)
+
+
+class TestDeepTerms:
+    def test_deep_subgoal_gets_verdicts(self, stdlib_set):
+        # Reading, checking and evaluating a subgoal nested 3,000 applications
+        # deep used to raise RecursionError; its verdicts are the shallow ones.
+        def verdicts(depth):
+            case = parse_case_file(deep_case_text(depth))
+            args = case.arg_sets["x"]
+            return [evaluate(a, case.goal, case.context, args) for _, a in stdlib_set.entries]
+
+        assert verdicts(3000) == verdicts(3)

@@ -395,6 +395,15 @@ class TestHeuristicOutcomes:
         assert not evaluate(h2, itrev_case.goal, itrev_case.context,
                             itrev_case.arg_sets["alt"])
 
+    def test_h6b_sees_no_occurrence_outside_subgoal_zero(self, stdlib_set):
+        # Only subgoal 0 holds occurrences, so a term that occurs only in a
+        # later subgoal has none, and h6b's leading EX finds no witness.
+        h6b = heuristic("h6b_generalize_inner_frees", stdlib_set)
+        first, later = App(Const("f"), Free("x")), App(Const("g"), Free("y"))
+        args = InductArgs((later,), (Free("y"),), ())
+        assert evaluate(h6b, Goal((later,)), EMPTY_CONTEXT, args)
+        assert not evaluate(h6b, Goal((first, later)), EMPTY_CONTEXT, args)
+
     def test_h7_implies_h5_across_corpus(self, corpus_pairs, stdlib_set):
         h5 = heuristic("h5_rule_argument_order", stdlib_set)
         h7 = heuristic("h7_rule_args_generalized", stdlib_set)

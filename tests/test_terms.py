@@ -184,6 +184,16 @@ class TestWellFormedness:
         assert not is_well_formed(Lambda("x", Bound(1)))
         assert not is_well_formed(App(Free("f"), Lambda("x", Bound(2))))
 
+    def test_deep_terms_are_checked_without_recursion(self):
+        def nest(index):
+            term = Bound(index)
+            for _ in range(3000):
+                term = App(Free("f"), Lambda("x", term))
+            return term
+
+        assert is_well_formed(nest(2999))
+        assert not is_well_formed(nest(3000))
+
     def test_empty_names_rejected(self):
         with pytest.raises(ValueError):
             Const("")
