@@ -19,6 +19,13 @@ Terms are written
 
 Everything is validated on the way in: names resolve, bound indices are in
 scope, clause arities agree, and ids are unique.
+
+Reading is one pass (`sexp.read_case`) that leaves every well-formed term
+form as an interned term of one TermTable per case, which the goal keeps
+for its index and which the argument sets share.  What remains is a small
+tree of the other forms, checked here in reading order.  A term form that
+did not reduce is diagnosed from its plain list, with the message the
+first fault in it gets.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import LifterError
-from .sexp import SAtom, SexpError, Sexp, SList, SString, parse_sexp, quote_string
+from .sexp import SAtom, SexpError, Sexp, SList, SString, STerm, quote_string, read_case
 from .terms import (
     App,
     Bound,
@@ -43,7 +50,7 @@ from .terms import (
     RuleRecord,
     Schematic,
     Term,
-    is_well_formed,
+    TermTable,
 )
 
 
@@ -84,90 +91,92 @@ def _head_of(node: SList) -> str:
     return first.text if isinstance(first, SAtom) else ""
 
 
-_LEAF_KINDS = {"const": Const, "free": Free, "schematic": Schematic}
+_KEYWORD = {
+    Const: "const", Free: "free", Schematic: "schematic", Bound: "bound", Lambda: "abs", App: "app",
+}
 
 
-def _term_from_sexp(node: Sexp) -> Term:
-    """The term a form spells.  Forms are checked in the order a recursive
-    descent visits them, so the first fault in the text is the one reported,
-    but an explicit stack stands in for the recursion: a term may nest as
-    deep as memory allows."""
-    built: list[Term] = []
-    # Forms still to read, and (form, binder) steps that pop the terms built
-    # for a form's children and build its App (binder None) or Lambda.
+def _term(node: Sexp | STerm) -> STerm:
+    """The reduced term form at `node`.  A term form the reader could not
+    reduce raises its first fault: the first a recursive descent meets,
+    each form checked before its children and an abs binder after its body,
+    as when the form is built."""
+    if isinstance(node, STerm):
+        return node
     todo: list = [node]
     while todo:
         item = todo.pop()
-        if type(item) is tuple:
-            form, binder = item
-            last = built.pop()
-            try:
-                built.append(App(built.pop(), last) if binder is None else Lambda(binder, last))
-            except ValueError as exc:
-                raise _fail(form, str(exc)) from exc
-            continue
+        if type(item) is tuple:  # an abs form, its body done
+            raise _fail(item[0], "names must be non-empty strings")
         form = _expect_list(item)
         head = _head_of(form)
         rest = form.items[1:]
-        try:
-            if head in _LEAF_KINDS:
-                if len(rest) != 1:
-                    raise _fail(form, f"({head} ...) takes one name")
-                built.append(_LEAF_KINDS[head](_expect_string(rest[0], "name")))
-            elif head == "bound":
-                if len(rest) != 1 or not isinstance(rest[0], SAtom) or not rest[0].text.isdigit():
-                    raise _fail(form, "(bound ...) takes one natural number")
-                built.append(Bound(int(rest[0].text)))
-            elif head == "abs":
-                if len(rest) != 2:
-                    raise _fail(form, "(abs ...) takes a binder name and a body")
-                todo.append((form, _expect_string(rest[0], "binder name")))
-                todo.append(rest[1])
-            elif head == "app":
-                if len(rest) != 2:
-                    raise _fail(form, "(app ...) takes two terms")
-                todo.append((form, None))
-                todo.append(rest[1])
-                todo.append(rest[0])
-            else:
-                raise _fail(form, f"unknown term keyword '{head}'")
-        except ValueError as exc:
-            raise _fail(form, str(exc)) from exc
-    return built[0]
+        if head in ("const", "free", "schematic"):
+            if len(rest) != 1:
+                raise _fail(form, f"({head} ...) takes one name")
+            if not _expect_string(rest[0], "name"):
+                raise _fail(form, "names must be non-empty strings")
+        elif head == "bound":
+            if len(rest) != 1 or not isinstance(rest[0], SAtom) or not rest[0].text.isdigit():
+                raise _fail(form, "(bound ...) takes one natural number")
+            try:
+                int(rest[0].text)
+            except ValueError as exc:
+                raise _fail(form, str(exc)) from exc
+        elif head == "abs":
+            if len(rest) != 2:
+                raise _fail(form, "(abs ...) takes a binder name and a body")
+            if not _expect_string(rest[0], "binder name"):
+                todo.append((form,))
+            todo.append(rest[1])
+        elif head == "app":
+            if len(rest) != 2:
+                raise _fail(form, "(app ...) takes two terms")
+            todo.append(rest[1])
+            todo.append(rest[0])
+        else:
+            raise _fail(form, f"unknown term keyword '{head}'")
+    raise AssertionError(f"{node.line}:{node.col}: a term form that did not reduce has no fault")
 
 
 def parse_term_sexp(text: str) -> Term:
     try:
-        return _term_from_sexp(parse_sexp(text))
+        node = read_case(text, TermTable())
     except SexpError as exc:
         raise CaseError(str(exc)) from exc
+    return _term(node).term
 
 
 def render_term_sexp(term: Term) -> str:
-    match term:
-        case Const(name):
-            return f"(const {quote_string(name)})"
-        case Free(name):
-            return f"(free {quote_string(name)})"
-        case Schematic(name):
-            return f"(schematic {quote_string(name)})"
-        case Bound(index):
-            return f"(bound {index})"
-        case Lambda(binder, body):
-            return f"(abs {quote_string(binder)} {render_term_sexp(body)})"
-        case App(fun, arg):
-            return f"(app {render_term_sexp(fun)} {render_term_sexp(arg)})"
-    raise TypeError(f"not a term: {term!r}")
+    parts: list[str] = []
+    todo: list = [term]  # terms still to write, and text to write as it is
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, App):
+            parts.append("(app ")
+            todo += (")", item.arg, " ", item.fun)
+        elif isinstance(item, Lambda):
+            parts.append(f"(abs {quote_string(item.binder)} ")
+            todo += (")", item.body)
+        elif isinstance(item, Bound):
+            parts.append(f"(bound {item.index})")
+        elif isinstance(item, (Const, Free, Schematic)):
+            parts.append(f"({_KEYWORD[type(item)]} {quote_string(item.name)})")
+        else:
+            raise TypeError(f"not a term: {item!r}")
+    return "".join(parts)
 
 
-def _checked_term(node: Sexp, where: str) -> Term:
-    term = _term_from_sexp(node)
-    if not is_well_formed(term):
+def _checked_term(node: Sexp | STerm, where: str) -> Term:
+    reduced = _term(node)
+    if not reduced.closed:
         raise _fail(node, f"{where}: bound index escapes its binders")
-    return term
+    return reduced.term
 
 
-def _parse_goal(form: SList) -> Goal:
+def _parse_goal(form: SList, table: TermTable) -> Goal:
     subgoals: list[Term] = []
     for entry in form.items[1:]:
         sub = _expect_list(entry, "subgoal")
@@ -176,7 +185,7 @@ def _parse_goal(form: SList) -> Goal:
         subgoals.append(_checked_term(sub.items[1], "subgoal"))
     if not subgoals:
         raise _fail(form, "a goal needs at least one subgoal")
-    return Goal(tuple(subgoals))
+    return Goal(tuple(subgoals), table)
 
 
 def _parse_clauses(form: SList, name: str) -> tuple[ClausePattern, ...]:
@@ -232,6 +241,8 @@ def _parse_context(form: SList) -> Context:
     definitions: dict[str, Definition] = {}
     rules: dict[str, RuleRecord] = {}
     for entry in form.items[1:]:
+        if isinstance(entry, STerm):
+            raise _fail(entry, f"unknown context entry '{_KEYWORD[type(entry.term)]}'")
         sub = _expect_list(entry)
         head = _head_of(sub)
         if head == "defn":
@@ -271,15 +282,16 @@ def _parse_args(form: SList, context: Context) -> tuple[str, InductArgs]:
 
 
 def parse_case_file(text: str) -> CorpusCase:
+    table = TermTable()
     try:
-        form = parse_sexp(text)
+        form = read_case(text, table)
     except SexpError as exc:
         raise CaseError(str(exc)) from exc
     case = _expect_list(form, "case")
     if len(case.items) < 4:
         raise _fail(case, "(case ...) takes an id, a goal, a context, and argument sets")
     case_id = _expect_string(case.items[1], "case id")
-    goal = _parse_goal(_expect_list(case.items[2], "goal"))
+    goal = _parse_goal(_expect_list(case.items[2], "goal"), table)
     context = _parse_context(_expect_list(case.items[3], "context"))
     arg_sets: dict[str, InductArgs] = {}
     for entry in case.items[4:]:

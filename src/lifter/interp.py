@@ -123,8 +123,10 @@ class Evaluator:
     """Atomic semantics and quantifier domains for one (goal, context, args).
 
     The domains are the goal's index, shared by every evaluator of the same
-    Goal object.  Terms compare by interned id: argument terms that do not
-    occur in the goal get ids from this evaluator's own table.
+    Goal object.  Terms compare by their ids in the goal's TermTable.
+    Argument terms read with the goal's case are in that table already, so
+    each takes one identity lookup; any other term the table lacks gets an
+    id from this evaluator's own table.
     """
 
     def __init__(self, goal: Goal, context: Context, args: InductArgs):
@@ -151,7 +153,7 @@ class Evaluator:
         }
 
     def _intern(self, term: Term) -> int:
-        return self.index.term_id(term, self._extra)
+        return self.index.table.intern(term, self._extra)
 
     def _term_id(self, term: Term) -> int:
         tid = self._arg_ids.get(id(term))

@@ -376,8 +376,15 @@ class _Parser:
         if tok.kind != "word":
             raise self.error("expected an assertion")
         if tok.text == "Not":
-            self.advance()
-            return Not(self.unary())
+            # A run of Not is read in a loop, so its length costs no stack.
+            nots = 0
+            while self.cur.kind == "word" and self.cur.text == "Not":
+                self.advance()
+                nots += 1
+            node = self.unary()
+            for _ in range(nots):
+                node = Not(node)
+            return node
         if tok.text == "True":
             self.advance()
             return BoolLit(True)
@@ -505,11 +512,11 @@ def sort_check(assertion: Assertion) -> Assertion:
 
 
 def _check(node: Assertion, env: dict[str, Sort]) -> None:
+    while isinstance(node, Not):  # a chain of Not takes no stack per link
+        node = node.body
     match node:
         case BoolLit():
             pass
-        case Not(body):
-            _check(body, env)
         case And(lhs, rhs) | Or(lhs, rhs) | Imp(lhs, rhs):
             _check(lhs, env)
             _check(rhs, env)

@@ -10,18 +10,23 @@ An Occurrence addresses one such node of one subgoal by its child-index
 path from the root.  Two occurrences are equal exactly when their subgoal
 index and path are equal, even if they denote equal terms.
 
+Terms are hash-consed in a TermTable: each distinct term has one id,
+keyed on its constructor and its children's ids, and one canonical Term.
+Reading a case interns every term of it into one table, goal and argument
+sets alike, as the text is read (see `sexp`); a Goal built from Terms is
+interned into a table of its own when it is first indexed.
+
 A goal's occurrences and distinct subterms come from one GoalIndex, built
-in one iterative pass the first time `Goal.index` is read and cached on
-the goal for its lifetime.  The index hash-conses terms: each occurrence
-carries the id of the term it denotes, and each id has one canonical Term.
-The interpreter compares terms by id and reads a node's kind from the type
-of its term; `enumerate_occurrences`, `enumerate_subterms` and `term_at`
-are views over the index.
+in one walk over term ids the first time `Goal.index` is read and cached
+on the goal for its lifetime.  Each occurrence carries the id of the term
+it denotes.  The interpreter compares terms by id and reads a node's kind
+from the type of its term; `enumerate_occurrences`, `enumerate_subterms`
+and `term_at` are views over the index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Union
@@ -98,9 +103,76 @@ def is_well_formed(term: Term, binders: int = 0) -> bool:
     return True
 
 
+class TermTable:
+    """Hash-consed terms: one id and one canonical Term per distinct term.
+
+    A term's key is its constructor and its children's ids: (App, fun,
+    arg), (Lambda, binder, body), (Bound, index), or (Const, name) and the
+    like, so two terms are equal exactly when their ids are.  Each id's
+    canonical Term is built once, from its children's canonical Terms.
+    """
+
+    def __init__(self) -> None:
+        self.ids: dict[tuple, int] = {}
+        self.keys: list[tuple] = []  # by id
+        self.terms: list[Term] = []  # the canonical Term of each id
+        self.canonical: dict[int, int] = {}  # id() of a canonical Term -> its id
+
+    def add(self, key: tuple) -> int:
+        """The id of a key the table does not hold yet."""
+        tid = self.ids[key] = len(self.terms)
+        kind, terms = key[0], self.terms
+        if kind is App:
+            term: Term = App(terms[key[1]], terms[key[2]])
+        elif kind is Lambda:
+            term = Lambda(key[1], terms[key[2]])
+        else:
+            term = kind(key[1])
+        self.keys.append(key)
+        terms.append(term)
+        self.canonical[id(term)] = tid
+        return tid
+
+    def intern(self, term: Term, extra: dict[tuple, int] | None = None) -> int:
+        """The id of any term: one identity lookup for a canonical Term,
+        one iterative walk for any other.  A key the table lacks is added
+        to it, or, when the caller passes its own `extra` table, numbered
+        there with a negative id and left out of this one."""
+        tid = self.canonical.get(id(term))
+        if tid is not None:
+            return tid
+        done: list[int] = []
+        stack: list[tuple[Term, bool]] = [(term, False)]
+        while stack:
+            t, ready = stack.pop()
+            if not ready and isinstance(t, App):
+                stack += ((t, True), (t.arg, False), (t.fun, False))
+                continue
+            if not ready and isinstance(t, Lambda):
+                stack += ((t, True), (t.body, False))
+                continue
+            if isinstance(t, App):
+                arg = done.pop()
+                key: tuple = (App, done.pop(), arg)
+            elif isinstance(t, Lambda):
+                key = (Lambda, t.binder, done.pop())
+            elif isinstance(t, Bound):
+                key = (Bound, t.index)
+            else:
+                key = (type(t), t.name)
+            tid = self.ids.get(key)
+            if tid is None:
+                tid = self.add(key) if extra is None else extra.setdefault(key, -1 - len(extra))
+            done.append(tid)
+        return done[0]
+
+
 @dataclass(frozen=True)
 class Goal:
     subgoals: tuple[Term, ...]
+    # The table the subgoals were read into, if any; equality and repr
+    # ignore it.
+    table: TermTable | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.subgoals:
@@ -122,148 +194,62 @@ def depth_of(occurrence: Occurrence) -> int:
     return len(occurrence.path)
 
 
-def _leaf_key(term: Term) -> tuple:
-    if isinstance(term, Bound):
-        return (Bound, term.index)
-    return (type(term), term.name)
-
-
 class GoalIndex:
     """Every node and term of one goal, numbered in a single pass.
 
     Occurrences of all subgoals are numbered in preorder, subgoal 0 first
-    and each head before its arguments.  Terms are hash-consed: a term's id
-    is keyed on its constructor and its children's ids, the partial
-    applications of a printed call included, and each id has one canonical
-    Term built from its children's canonical terms.  Two terms are equal
-    exactly when their ids are, so no comparison ever walks a term.
+    and each head before its arguments.  Each occurrence carries the id of
+    the term it denotes in the goal's TermTable: the table the case was
+    read into, or, for a goal built from Terms, a new table its subgoals
+    are interned into first.  The walk goes over ids alone: an App key
+    unfolds into the head and arguments of one printed call, and every
+    node's id is known on the way down.
     """
 
     def __init__(self, goal: Goal):
+        self.table = table = goal.table or TermTable()
+        self.term_of = table.terms
+        keys = table.keys
         self.occurrences: list[Occurrence] = []
         self.term_ids: list[int] = []
-        self._ends: list[int] = []
-        self.term_of: list[Term] = []
-        self._cons: dict[tuple, int] = {}
-        self._canonical: dict[int, int] = {}  # id() of a canonical term -> its term id
-        self.widest = 0  # most arguments of one constant application, any subgoal
+        occs, tids = self.occurrences, self.term_ids
+        widest = 0  # most arguments of one constant application, any subgoal
         starts = []
         for subgoal, term in enumerate(goal.subgoals):
-            starts.append(len(self.occurrences))
-            self._walk(subgoal, term)
-        self.starts = (*starts, len(self.occurrences))
-        self.positions = {occ: i for i, occ in enumerate(self.occurrences)}
-
-        seen: set[int] = set()
-        self.subterms: list[Term] = []  # the term domain, first-seen order
-        for tid in self.term_ids:
-            if tid not in seen:
-                seen.add(tid)
-                self.subterms.append(self.term_of[tid])
+            starts.append(len(occs))
+            stack: list[tuple[int, tuple[int, ...]]] = [(table.intern(term), ())]
+            while stack:
+                tid, path = stack.pop()
+                occs.append(Occurrence(subgoal, path))
+                tids.append(tid)
+                key = keys[tid]
+                if key[0] is App:
+                    args: list[int] = []  # last argument first
+                    while key[0] is App:
+                        args.append(key[2])
+                        head = key[1]
+                        key = keys[head]
+                    slot = len(args)
+                    if key[0] is Const and slot > widest:
+                        widest = slot
+                    for arg in args:
+                        stack.append((arg, path + (slot,)))
+                        slot -= 1
+                    stack.append((head, path + (0,)))
+                elif key[0] is Lambda:
+                    stack.append((key[2], path + (0,)))
+        self.widest = widest
+        self.starts = (*starts, len(occs))
+        self.positions = {occ: i for i, occ in enumerate(occs)}
+        # The term domain: distinct terms in first-seen order.
+        self.subterms: list[Term] = [self.term_of[tid] for tid in dict.fromkeys(tids)]
 
         # Subgoal 0 is the evaluation scope.
-        self.scope = self.occurrences[: self.starts[1]]
+        self.scope = occs[: self.starts[1]]
         self.max_depth = max(len(occ.path) for occ in self.scope)
         self.occs_of: dict[int, list[Occurrence]] = {}
-        for occ, tid in zip(self.scope, self.term_ids):
+        for occ, tid in zip(self.scope, tids):
             self.occs_of.setdefault(tid, []).append(occ)
-
-    def _walk(self, subgoal: int, root: Term) -> None:
-        """Number the nodes of one subgoal.  A node enters on the way down
-        with its path and, unless it is a leaf, leaves again with its
-        position once its subtree is numbered; that is when its term id is
-        made."""
-        occs, tids, ends = self.occurrences, self.term_ids, self._ends
-        stack: list[tuple[Term, tuple[int, ...] | int]] = [(root, ())]
-        while stack:
-            term, path = stack.pop()
-            if isinstance(path, int):
-                self._leave(term, path)
-                continue
-            i = len(occs)
-            occs.append(Occurrence(subgoal, path))
-            tids.append(-1)
-            ends.append(i + 1)
-            if isinstance(term, App):
-                args: list[Term] = []
-                head: Term = term
-                while isinstance(head, App):
-                    args.append(head.arg)
-                    head = head.fun
-                stack.append((term, i))
-                for n, arg in enumerate(args):
-                    stack.append((arg, path + (len(args) - n,)))
-                stack.append((head, path + (0,)))
-            elif isinstance(term, Lambda):
-                stack.append((term, i))
-                stack.append((term.body, path + (0,)))
-            else:
-                tids[i] = self._id(_leaf_key(term))
-
-    def _leave(self, term: Term, i: int) -> None:
-        # The subtree under position i is positions i to ends[i] - 1, so
-        # each child after the first starts where its elder sibling ends.
-        tids, ends = self.term_ids, self._ends
-        end = ends[i] = len(self.occurrences)
-        if isinstance(term, Lambda):
-            tids[i] = self._id((Lambda, term.binder, tids[i + 1]))
-            return
-        children = []
-        child = i + 1
-        while child < end:
-            children.append(child)
-            child = ends[child]
-        tid = tids[children[0]]
-        for child in children[1:]:
-            tid = self._id((App, tid, tids[child]))
-        tids[i] = tid
-        if isinstance(self.term_of[tids[children[0]]], Const):
-            self.widest = max(self.widest, len(children) - 1)
-
-    def _id(self, key: tuple) -> int:
-        tid = self._cons.get(key)
-        if tid is None:
-            tid = self._cons[key] = len(self.term_of)
-            kind = key[0]
-            if kind is App:
-                term: Term = App(self.term_of[key[1]], self.term_of[key[2]])
-            elif kind is Lambda:
-                term = Lambda(key[1], self.term_of[key[2]])
-            else:
-                term = kind(key[1])
-            self.term_of.append(term)
-            self._canonical[id(term)] = tid
-        return tid
-
-    def term_id(self, term: Term, extra: dict[tuple, int]) -> int:
-        """The id of any term, equal for equal terms.  A term that is not a
-        subterm of the goal gets an id from `extra`, a table the caller owns,
-        numbered after the goal's ids."""
-        tid = self._canonical.get(id(term))
-        if tid is not None:
-            return tid
-        done: list[int] = []
-        stack: list[tuple[Term, bool]] = [(term, False)]
-        while stack:
-            t, ready = stack.pop()
-            if not ready and isinstance(t, App):
-                stack += ((t, True), (t.arg, False), (t.fun, False))
-                continue
-            if not ready and isinstance(t, Lambda):
-                stack += ((t, True), (t.body, False))
-                continue
-            if isinstance(t, App):
-                arg = done.pop()
-                key: tuple = (App, done.pop(), arg)
-            elif isinstance(t, Lambda):
-                key = (Lambda, t.binder, done.pop())
-            else:
-                key = _leaf_key(t)
-            tid = self._cons.get(key)
-            if tid is None:
-                tid = extra.setdefault(key, len(self.term_of) + len(extra))
-            done.append(tid)
-        return done[0]
 
     def position(self, occurrence: Occurrence) -> int:
         """The preorder position of an occurrence; IndexError if the goal has none."""

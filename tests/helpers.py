@@ -32,7 +32,22 @@ from lifter.lang import (
     TermsIn,
     domain_sort,
 )
-from lifter.terms import App, Bound, Const, Free, Lambda, Schematic
+from lifter.ingest import CorpusCase, render_case_file
+from lifter.terms import (
+    App,
+    Bound,
+    ClausePattern,
+    Const,
+    Context,
+    Definition,
+    Free,
+    Goal,
+    InductArgs,
+    Lambda,
+    ParamPattern,
+    RuleRecord,
+    Schematic,
+)
 
 _NAMES = ["x0", "x1", "x2", "y0", "y1", "z0"]
 
@@ -154,7 +169,7 @@ def desugar_occurrence_quants(node):
 
 def deep_case_text(depth: int) -> str:
     """A case whose one subgoal is `f (f (... (f x)))`, `depth` applications
-    deep, inducting on x.  Written as text: rendering a term recurses."""
+    deep, inducting on x, written as text."""
     term = '(app (const "f") ' * depth + '(free "x")' + ")" * depth
     return (
         '(case "deep"\n'
@@ -162,3 +177,36 @@ def deep_case_text(depth: int) -> str:
         '  (context (defn "f" (recursive true)) (rule "f.induct" (derived-from "f")))\n'
         '  (args "x" (on (free "x")) (arbitrary) (rule "f.induct")))\n'
     )
+
+
+@st.composite
+def case_texts(draw) -> str:
+    """The rendered text of a random case: quoted names may hold any
+    character, so strings carry escapes and newlines."""
+    name = st.text(min_size=1, max_size=6)
+    terms = st.lists(terms_strategy(), max_size=2)
+    const = draw(name)
+    clause = ClausePattern((ParamPattern.VAR, ParamPattern.CONSTRUCTOR))
+    context = Context(
+        {const: Definition(const, draw(st.booleans()), draw(st.sampled_from([(), (clause,)])))},
+        {"r": RuleRecord("r", const)},
+    )
+    args = InductArgs(tuple(draw(terms)), tuple(draw(terms)), draw(st.sampled_from([(), ("r",)])))
+    goal = Goal(tuple(draw(st.lists(terms_strategy(), min_size=1, max_size=3))))
+    return render_case_file(CorpusCase(draw(name), goal, context, {draw(name): args}))
+
+
+INSERTS = ["(", ")", '"', "\\", ";", "\r\n", "\x1c", "\u3000"]
+
+
+@st.composite
+def mutated_case_texts(draw) -> str:
+    """A rendered case, cut short or with a few delimiters, escapes,
+    comment starts, line ends or unusual blanks inserted."""
+    text = draw(case_texts())
+    if draw(st.booleans()):
+        return text[: draw(st.integers(0, len(text)))]
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(INSERTS)) + text[at:]
+    return text

@@ -314,3 +314,24 @@ class TestModuleEntry:
         proc = self.run("assert", "--case", str(case), "--args", "x",
                         "--heuristic", heuristic_path("h2_deepest"))
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "Assertion succeeded.\n", "")
+
+    def test_deep_witness_is_printed(self, tmp_path):
+        # Rendering a witness 3,000 applications deep used to raise
+        # RecursionError.  The first term of the goal is its whole subgoal.
+        case = tmp_path / "deep.case"
+        case.write_text(deep_case_text(3000), encoding="utf-8")
+        heuristic = tmp_path / "any_term.lifter"
+        heuristic.write_text("EX t1 : term . True\n", encoding="utf-8")
+        proc = self.run("assert", "--case", str(case), "--args", "x",
+                        "--heuristic", str(heuristic), "--witness")
+        subgoal = '(app (const "f") ' * 3000 + '(free "x")' + ")" * 3000
+        assert (proc.returncode, proc.stdout) == (0, "Assertion succeeded.\n")
+        assert proc.stderr == f"witness t1 = {subgoal}\n"
+
+    def test_long_not_chain_gets_a_verdict(self, tmp_path):
+        # `Not` x 5000 used to raise RecursionError while parsing.
+        heuristic = tmp_path / "nots.lifter"
+        heuristic.write_text("Not " * 5000 + "True\n", encoding="utf-8")
+        proc = self.run("assert", "--case", case_path("itrev"), "--args", "model",
+                        "--heuristic", str(heuristic))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "Assertion succeeded.\n", "")

@@ -1,12 +1,20 @@
 """The goal index: built once per Goal object, shared by every evaluator
-of that object, and free of recursion on deep or wide goals."""
+of that object, and free of recursion on deep or wide goals.  A parsed
+goal and the same goal built from Terms get the same index, and reading a
+case builds each of its terms once."""
 
 from __future__ import annotations
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from lifter import bundled_corpus_dir, load_case_file, parse_case_file
+from lifter.ingest import CorpusCase, render_case_file
 from lifter.interp import Evaluator, evaluate
 from lifter.terms import (
     App,
+    Bound,
     ClausePattern,
     Const,
     Context,
@@ -14,10 +22,14 @@ from lifter.terms import (
     Free,
     Goal,
     InductArgs,
+    Lambda,
     ParamPattern,
     RuleRecord,
+    Schematic,
     enumerate_occurrences,
 )
+
+from helpers import terms_strategy
 
 CONSTRUCTOR, VAR = ParamPattern.CONSTRUCTOR, ParamPattern.VAR
 
@@ -105,3 +117,98 @@ class TestIndexSharing:
         assert reparsed.index is not itrev_case.goal.index
         assert again.index is not reparsed.index
         assert reparsed.index.subterms == itrev_case.goal.index.subterms
+
+
+def parsed(goal: Goal, context: Context | None = None, args: InductArgs | None = None):
+    """The case holding goal, written out and read back."""
+    context = context or Context({}, {})
+    case = CorpusCase("c", goal, context, {"a": args or InductArgs()})
+    return parse_case_file(render_case_file(case))
+
+
+def index_view(index) -> dict:
+    """Everything an index answers, with term ids replaced by the terms
+    they stand for or by the positions that share them."""
+    by_id: dict[int, list[int]] = {}
+    for i, tid in enumerate(index.term_ids):
+        by_id.setdefault(tid, []).append(i)
+    return {
+        "occurrences": index.occurrences,
+        "starts": index.starts,
+        "partition": sorted(by_id.values()),
+        "terms": [index.term_of[tid] for tid in index.term_ids],
+        "subterms": index.subterms,
+        "widest": index.widest,
+        "max_depth": index.max_depth,
+        "occs_of": {
+            index.positions[occs[0]]: (occs, index.term_of[tid])
+            for tid, occs in index.occs_of.items()
+        },
+    }
+
+
+class TestParsedAndBuiltGoalsAgree:
+    @given(st.lists(terms_strategy(), min_size=1, max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_same_index(self, subgoals):
+        built = Goal(tuple(subgoals))
+        read = parsed(built).goal
+        assert read == built
+        assert read.table is not None and built.table is None
+        assert index_view(read.index) == index_view(built.index)
+
+    def test_spine_agrees(self):
+        goal, context, args = spine_case(60)
+        assert index_view(parsed(goal, context, args).goal.index) == index_view(goal.index)
+
+
+TERM_CLASSES = (Const, Free, Schematic, Bound, Lambda, App)
+
+
+@pytest.fixture
+def term_builds(monkeypatch):
+    """How many Terms have been built since the fixture was set up."""
+    builds = {"count": 0}
+    for cls in TERM_CLASSES:
+        def counted(self, *args, __init=cls.__init__):
+            builds["count"] += 1
+            __init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return builds
+
+
+class TestWorkCounts:
+    """Counts, not timings: the reader builds each term once, into the case's
+    table, and the index only walks the table."""
+
+    def test_reading_builds_each_term_once(self, term_builds):
+        goal, context, args = spine_case(240)
+        text = render_case_file(CorpusCase("spine", goal, context, {"rule": args}))
+        term_builds["count"] = 0
+        case = parse_case_file(text)
+        table = case.goal.table
+        distinct = len(set(table.keys))
+        assert term_builds["count"] == len(table.terms) == len(table.ids) == distinct
+        # Each level's variable and its two curried applications of f, and
+        # f, z, g z, g, =, and the two applications of =: none built twice.
+        assert distinct == 3 * 240 + 7
+
+    def test_index_adds_nothing_to_the_table(self, term_builds):
+        goal, context, args = spine_case(240)
+        case = parsed(goal, context, args)
+        table = case.goal.table
+        before = (len(table.terms), len(table.ids), term_builds["count"])
+        index = case.goal.index
+        assert (len(table.terms), len(table.ids), term_builds["count"]) == before
+        assert len(index.occurrences) == 3 * 240 + 6
+
+    def test_argument_terms_are_the_tables(self):
+        goal, context, args = spine_case(30)
+        case = parsed(goal, context, args)
+        table = case.goal.table
+        read = case.arg_sets["a"]
+        for term in read.induction_terms + read.arbitrary_terms:
+            assert table.terms[table.canonical[id(term)]] is term
+        # No argument term needed a structural walk or an id of its own.
+        assert Evaluator(case.goal, case.context, read)._extra == {}

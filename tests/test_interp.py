@@ -553,10 +553,17 @@ class TestDeepChains:
         args = itrev_case.arg_sets["model"]
         assert evaluate(assertion, itrev_case.goal, itrev_case.context, args) is verdict
 
+    @pytest.mark.parametrize("links, verdict", [(5000, True), (5001, False)])
+    def test_parsed_not_run_takes_no_stack_per_link(self, itrev_case, links, verdict):
+        # The parser used to recurse once per Not, and the sort check too.
+        assertion = sort_check(parse_assertion("Not " * links + "True"))
+        args = itrev_case.arg_sets["model"]
+        assert evaluate(assertion, itrev_case.goal, itrev_case.context, args) is verdict
+
     @pytest.mark.parametrize("shape", ["not", "and", "or", "imp"])
     def test_chain_takes_no_stack_per_link(self, itrev_case, shape):
-        # Built as a tree, since the parser itself recurses once per link;
-        # 5,000 links is far past Python's default recursion limit.
+        # Built as a tree, so that no parser is involved; 5,000 links is
+        # far past Python's default recursion limit.
         links = 5000
         leaf = BoolLit(shape != "or")
         node = leaf

@@ -9,19 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_sexp
-from lifter.ingest import CaseError, CorpusCase, parse_case_file, render_case_file
+from lifter.ingest import CaseError, parse_case_file
 from lifter.sexp import SexpError, parse_sexp
-from lifter.terms import (
-    ClausePattern,
-    Context,
-    Definition,
-    Goal,
-    InductArgs,
-    ParamPattern,
-    RuleRecord,
-)
 
-from helpers import terms_strategy
+from helpers import case_texts, mutated_case_texts
 
 
 def shape(node) -> tuple:
@@ -36,39 +27,6 @@ def outcome(reader, text: str) -> tuple:
         return shape(reader(text))
     except SexpError as exc:
         return ("error", str(exc), exc.line, exc.col)
-
-
-@st.composite
-def case_texts(draw) -> str:
-    """The rendered text of a random case: quoted names may hold any
-    character, so strings carry escapes and newlines."""
-    name = st.text(min_size=1, max_size=6)
-    terms = st.lists(terms_strategy(), max_size=2)
-    const = draw(name)
-    clause = ClausePattern((ParamPattern.VAR, ParamPattern.CONSTRUCTOR))
-    context = Context(
-        {const: Definition(const, draw(st.booleans()), draw(st.sampled_from([(), (clause,)])))},
-        {"r": RuleRecord("r", const)},
-    )
-    args = InductArgs(tuple(draw(terms)), tuple(draw(terms)), draw(st.sampled_from([(), ("r",)])))
-    goal = Goal(tuple(draw(st.lists(terms_strategy(), min_size=1, max_size=3))))
-    return render_case_file(CorpusCase(draw(name), goal, context, {draw(name): args}))
-
-
-INSERTS = ["(", ")", '"', "\\", ";", "\r\n", "\x1c", "\u3000"]
-
-
-@st.composite
-def mutated_case_texts(draw) -> str:
-    """A rendered case, cut short or with a few delimiters, escapes,
-    comment starts, line ends or unusual blanks inserted."""
-    text = draw(case_texts())
-    if draw(st.booleans()):
-        return text[: draw(st.integers(0, len(text)))]
-    for _ in range(draw(st.integers(1, 3))):
-        at = draw(st.integers(0, len(text)))
-        text = text[:at] + draw(st.sampled_from(INSERTS)) + text[at:]
-    return text
 
 
 FIXED = [
