@@ -15,7 +15,6 @@ from .ingest import (
     load_corpus_dir,
     parse_case_file,
     parse_term_sexp,
-    render_case_file,
     render_term_sexp,
 )
 from .interp import Evaluator, classify_clause_params, evaluate, find_witnesses
@@ -54,11 +53,8 @@ from .terms import (
     RuleRecord,
     Schematic,
     Term,
-    depth_of,
     enumerate_occurrences,
     enumerate_subterms,
-    is_well_formed,
-    term_at,
 )
 
 __version__ = "0.1.0"
@@ -96,12 +92,10 @@ __all__ = [
     "bundled_corpus_dir",
     "classify_clause_params",
     "default_heuristics_dir",
-    "depth_of",
     "enumerate_occurrences",
     "enumerate_subterms",
     "evaluate",
     "find_witnesses",
-    "is_well_formed",
     "load_case_file",
     "load_corpus_dir",
     "load_stdlib",
@@ -109,8 +103,6 @@ __all__ = [
     "parse_case_file",
     "parse_term_sexp",
     "render_assertion",
-    "render_case_file",
     "render_term_sexp",
     "sort_check",
-    "term_at",
 ]

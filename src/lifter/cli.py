@@ -13,11 +13,9 @@ partial output file.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 from .errors import LifterError
@@ -85,6 +83,9 @@ def cmd_test_all(ns: argparse.Namespace) -> int:
 
 
 def cmd_extract(ns: argparse.Namespace) -> int:
+    import csv  # only extract uses these two, so other commands start without them
+    import tempfile
+
     corpus = load_corpus_dir(ns.corpus)
     heuristics = load_stdlib(ns.heuristics).selected(include_h7=ns.include_h7)
     buffer = io.StringIO()

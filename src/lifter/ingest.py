@@ -1,4 +1,4 @@
-"""Reading and writing goal/context/argument case files.
+"""Reading goal/context/argument case files, and writing terms in their syntax.
 
 A case file is one s-expression bundling a proof goal, the context facts
 assertions may consult (definitions and derived rules), and named sets of
@@ -30,10 +30,10 @@ first fault in it gets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import LifterError
+from .record import Record, set_field
 from .sexp import SAtom, SexpError, Sexp, SList, SString, STerm, quote_string, read_case
 from .terms import (
     App,
@@ -58,12 +58,16 @@ class CaseError(LifterError):
     """A structurally broken or inconsistent case file."""
 
 
-@dataclass(frozen=True)
-class CorpusCase:
-    case_id: str
-    goal: Goal
-    context: Context
-    arg_sets: dict[str, InductArgs]
+class CorpusCase(Record):
+    __slots__ = __match_args__ = _fields = ("case_id", "goal", "context", "arg_sets")
+
+    def __init__(
+        self, case_id: str, goal: Goal, context: Context, arg_sets: dict[str, InductArgs]
+    ):
+        set_field(self, "case_id", case_id)
+        set_field(self, "goal", goal)
+        set_field(self, "context", context)
+        set_field(self, "arg_sets", arg_sets)
 
 
 def _fail(node: Sexp, message: str) -> CaseError:
@@ -301,41 +305,6 @@ def parse_case_file(text: str) -> CorpusCase:
             raise _fail(args_form, f"duplicate argument set '{args_id}'")
         arg_sets[args_id] = args
     return CorpusCase(case_id, goal, context, arg_sets)
-
-
-def render_case_file(case: CorpusCase) -> str:
-    lines: list[str] = [f"(case {quote_string(case.case_id)}"]
-    lines.append("  (goal")
-    for sub in case.goal.subgoals:
-        lines.append(f"    (subgoal {render_term_sexp(sub)})")
-    lines[-1] += ")"
-    lines.append("  (context")
-    for defn in case.context.definitions.values():
-        rec = "true" if defn.is_recursive else "false"
-        entry = f"    (defn {quote_string(defn.constant_name)} (recursive {rec})"
-        if defn.clauses:
-            clauses = " ".join(
-                "(clause " + " ".join(p.value for p in clause.params) + ")"
-                for clause in defn.clauses
-            )
-            entry += f" (clauses {clauses})"
-        lines.append(entry + ")")
-    for rule in case.context.rules.values():
-        lines.append(
-            f"    (rule {quote_string(rule.rule_name)}"
-            f" (derived-from {quote_string(rule.derived_from)}))"
-        )
-    lines[-1] += ")"
-    for args_id, args in case.arg_sets.items():
-        on = "".join(" " + render_term_sexp(t) for t in args.induction_terms)
-        arb = "".join(" " + render_term_sexp(t) for t in args.arbitrary_terms)
-        rules = "".join(" " + quote_string(r) for r in args.rules)
-        lines.append(f"  (args {quote_string(args_id)}")
-        lines.append(f"    (on{on})")
-        lines.append(f"    (arbitrary{arb})")
-        lines.append(f"    (rule{rules}))")
-    lines[-1] += ")"
-    return "\n".join(lines) + "\n"
 
 
 def load_case_file(path: str | Path) -> CorpusCase:

@@ -3,7 +3,7 @@
 Grammar (whitespace-insensitive; "(*" ... "*)" comments nest):
 
     assertion := imp
-    imp    := or ( '->' imp )?                      right-associative
+    imp    := or ( '->' or )*                       right-associative
     or     := and ( '\\/' and )*
     and    := unary ( '/\\' unary )*
     unary  := 'Not' unary | 'True' | 'False' | quant | atomic | '(' assertion ')'
@@ -16,6 +16,9 @@ Grammar (whitespace-insensitive; "(*" ... "*)" comments nest):
             | CALL '(' arg ( ',' arg )* ')'        arg := IDENT | pattern literal
 
 A quantifier body extends as far right as possible; parentheses cut it off.
+Parentheses and quantifiers nest at most MAX_NESTING (100) deep; a deeper
+one is a ParseError at its '(' or EX/ALL.  Chains of Not, ->, \\/ and /\\
+may be of any length.
 Variables range over one of four sorts fixed by the quantifier's domain:
 numbers, rule names, terms, or term occurrences.  `sort_check` rejects any
 use of a variable at the wrong sort and any unbound variable.
@@ -23,11 +26,10 @@ use of a variable at the wrong sort and any unbound variable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Union
 
 from .errors import LifterError
+from .record import Record, set_field
 
 
 class ParseError(LifterError):
@@ -38,7 +40,7 @@ class ParseError(LifterError):
 
 
 class SortError(LifterError):
-    def __init__(self, message: str, pos: Optional[tuple[int, int]] = None):
+    def __init__(self, message: str, pos: tuple[int, int] | None = None):
         if pos is not None:
             message = f"{pos[0]}:{pos[1]}: {message}"
         super().__init__(message)
@@ -68,37 +70,37 @@ class QuantKind(Enum):
     FORALL = "ALL"
 
 
-@dataclass(frozen=True)
-class AllNumbers:
-    pass
+class AllNumbers(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AllRules:
-    pass
+class AllRules(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AllTerms:
-    pass
+class AllTerms(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AllOccs:
-    pass
+class AllOccs(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TermsIn:
-    modifier: Modifier
+class TermsIn(Record):
+    __slots__ = __match_args__ = _fields = ("modifier",)
+
+    def __init__(self, modifier: Modifier):
+        set_field(self, "modifier", modifier)
 
 
-@dataclass(frozen=True)
-class OccsOf:
-    term_var: str
+class OccsOf(Record):
+    __slots__ = __match_args__ = _fields = ("term_var",)
+
+    def __init__(self, term_var: str):
+        set_field(self, "term_var", term_var)
 
 
-DomainSpec = Union[AllNumbers, AllRules, AllTerms, AllOccs, TermsIn, OccsOf]
+DomainSpec = AllNumbers | AllRules | AllTerms | AllOccs | TermsIn | OccsOf
 
 
 class AtomicName(Enum):
@@ -175,51 +177,78 @@ CALL_NAMES = frozenset(
 Position = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class BoolLit:
-    value: bool
+# Assertion nodes keep a __dict__, where the interpreter caches each
+# node's compiled program; equality and repr read only the fields.
 
 
-@dataclass(frozen=True)
-class Not:
-    body: "Assertion"
+class BoolLit(Record):
+    __match_args__ = _fields = ("value",)
+
+    def __init__(self, value: bool):
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
-class And:
-    lhs: "Assertion"
-    rhs: "Assertion"
+class Not(Record):
+    __match_args__ = _fields = ("body",)
+
+    def __init__(self, body: Assertion):
+        set_field(self, "body", body)
 
 
-@dataclass(frozen=True)
-class Or:
-    lhs: "Assertion"
-    rhs: "Assertion"
+class _Binary(Record):
+    __match_args__ = _fields = ("lhs", "rhs")
+
+    def __init__(self, lhs: Assertion, rhs: Assertion):
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
-class Imp:
-    lhs: "Assertion"
-    rhs: "Assertion"
+class And(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Quant:
-    kind: QuantKind
-    var: str
-    domain: DomainSpec
-    body: "Assertion"
-    pos: Optional[Position] = field(default=None, compare=False, repr=False)
+class Or(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Atomic:
-    name: AtomicName
-    args: tuple  # variable names (str) and, for pattern_is, one Pattern
-    pos: Optional[Position] = field(default=None, compare=False, repr=False)
+class Imp(_Binary):
+    pass
 
 
-Assertion = Union[BoolLit, Not, And, Or, Imp, Quant, Atomic]
+class Quant(Record):
+    """A quantifier; `pos`, where it starts in the text, is not compared."""
+
+    _fields = ("kind", "var", "domain", "body")
+    __match_args__ = (*_fields, "pos")
+
+    def __init__(
+        self,
+        kind: QuantKind,
+        var: str,
+        domain: DomainSpec,
+        body: Assertion,
+        pos: Position | None = None,
+    ):
+        set_field(self, "kind", kind)
+        set_field(self, "var", var)
+        set_field(self, "domain", domain)
+        set_field(self, "body", body)
+        set_field(self, "pos", pos)
+
+
+class Atomic(Record):
+    """An atomic call; `pos`, where it starts in the text, is not compared."""
+
+    _fields = ("name", "args")
+    __match_args__ = (*_fields, "pos")
+
+    def __init__(self, name: AtomicName, args: tuple, pos: Position | None = None):
+        set_field(self, "name", name)
+        set_field(self, "args", args)  # variable names (str) and, for pattern_is, one Pattern
+        set_field(self, "pos", pos)
+
+
+Assertion = BoolLit | Not | And | Or | Imp | Quant | Atomic
 
 
 _ATOMIC_BY_TEXT = {name.value: name for name in AtomicName}
@@ -233,12 +262,14 @@ _KEYWORDS = frozenset(
 RESERVED_WORDS = _KEYWORDS | set(_ATOMIC_BY_TEXT)
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # one of ( ) : . , -> /\ \/ word eof
-    text: str
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind  # one of ( ) : . , -> /\ \/ word eof
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 def _lex(text: str) -> list[Token]:
@@ -308,10 +339,20 @@ def _lex(text: str) -> list[Token]:
     return tokens
 
 
+# Far deeper than any real heuristic, and shallow enough that parsing (about
+# five Python frames per level), compiling and evaluating stay well inside
+# Python's default recursion limit of 1000.
+MAX_NESTING = 100
+
+
 class _Parser:
+    """Recursive descent, with a loop for each chain of one connective.
+    Only parentheses and quantifiers recurse, and `nest` bounds how deep."""
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.index = 0
+        self.depth = 0  # parentheses and quantifiers open around the current token
 
     @property
     def cur(self) -> Token:
@@ -336,6 +377,15 @@ class _Parser:
         found = "end of input" if tok.kind == "eof" else repr(tok.text)
         return ParseError(f"{message}, found {found}", tok.line, tok.col)
 
+    def nest(self, tok: Token) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(
+                f"parentheses and quantifiers nest deeper than {MAX_NESTING} levels",
+                tok.line,
+                tok.col,
+            )
+
     def ident(self) -> str:
         tok = self.cur
         if tok.kind != "word":
@@ -346,11 +396,14 @@ class _Parser:
         return tok.text
 
     def imp(self) -> Assertion:
-        lhs = self.or_()
-        if self.cur.kind == "->":
+        parts = [self.or_()]
+        while self.cur.kind == "->":
             self.advance()
-            return Imp(lhs, self.imp())
-        return lhs
+            parts.append(self.or_())
+        node = parts.pop()
+        while parts:
+            node = Imp(parts.pop(), node)
+        return node
 
     def or_(self) -> Assertion:
         node = self.and_()
@@ -369,9 +422,11 @@ class _Parser:
     def unary(self) -> Assertion:
         tok = self.cur
         if tok.kind == "(":
+            self.nest(tok)
             self.advance()
             node = self.imp()
             self.expect(")", "')'")
+            self.depth -= 1
             return node
         if tok.kind != "word":
             raise self.error("expected an assertion")
@@ -408,12 +463,14 @@ class _Parser:
 
     def quant(self) -> Assertion:
         tok = self.advance()
+        self.nest(tok)
         kind = QuantKind.EXISTS if tok.text == "EX" else QuantKind.FORALL
         var = self.ident()
         self.expect(":", "':'")
         domain = self.domain()
         self.expect(".", "'.'")
         body = self.imp()
+        self.depth -= 1
         return Quant(kind, var, domain, body, (tok.line, tok.col))
 
     def domain(self) -> DomainSpec:
@@ -506,20 +563,26 @@ def domain_sort(domain: DomainSpec) -> Sort:
 
 
 def sort_check(assertion: Assertion) -> Assertion:
-    """Verify every variable is bound and used at its binding sort."""
-    _check(assertion, {})
+    """Verify every variable is bound and used at its binding sort.
+
+    Nodes are checked left to right, depth first, from an explicit stack,
+    so a long chain of connectives takes no Python stack per link."""
+    todo: list[tuple[Assertion, dict[str, Sort]]] = [(assertion, {})]
+    while todo:
+        node, env = todo.pop()
+        _check(node, env, todo)
     return assertion
 
 
-def _check(node: Assertion, env: dict[str, Sort]) -> None:
-    while isinstance(node, Not):  # a chain of Not takes no stack per link
+def _check(node: Assertion, env: dict[str, Sort], todo: list) -> None:
+    """Check one node; its subformulas go on `todo`, leftmost last."""
+    while isinstance(node, Not):
         node = node.body
     match node:
         case BoolLit():
             pass
         case And(lhs, rhs) | Or(lhs, rhs) | Imp(lhs, rhs):
-            _check(lhs, env)
-            _check(rhs, env)
+            todo += ((rhs, env), (lhs, env))
         case Quant(_, var, domain, body):
             if isinstance(domain, OccsOf):
                 bound = env.get(domain.term_var)
@@ -530,7 +593,7 @@ def _check(node: Assertion, env: dict[str, Sort]) -> None:
                         f"'{domain.term_var}' bound at {bound.value}, used at term position",
                         node.pos,
                     )
-            _check(body, {**env, var: domain_sort(domain)})
+            todo.append((body, {**env, var: domain_sort(domain)}))
         case Atomic(name, args):
             for slot, arg in zip(SIGNATURES[name], args):
                 if slot is Pattern:

@@ -26,7 +26,6 @@ as a plain list if ingest asks for its items, to diagnose it.
 from __future__ import annotations
 
 import re
-from typing import Union
 
 from .errors import LifterError
 from .terms import App, Bound, Const, Free, Lambda, Schematic, Term, TermTable
@@ -112,7 +111,7 @@ class _Unreduced(SList):
         return self.items
 
 
-Sexp = Union[SAtom, SString, SList]
+Sexp = SAtom | SString | SList
 
 # Token groups, numbered alike in both patterns: 1 ')'; 2, 3, 4 the name of
 # a whole (const ...), (free ...) or (schematic ...) form; 5 the index of a

@@ -8,11 +8,11 @@ the selection only on request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import LifterError
 from .lang import Assertion, parse_assertion, sort_check
+from .record import Record, set_field
 
 
 class HeuristicsError(LifterError):
@@ -33,9 +33,11 @@ STDLIB_NAMES: tuple[str, ...] = (
 CANONICAL_NAMES: tuple[str, ...] = STDLIB_NAMES[:8]
 
 
-@dataclass(frozen=True)
-class HeuristicSet:
-    entries: tuple[tuple[str, Assertion], ...]
+class HeuristicSet(Record):
+    __slots__ = __match_args__ = _fields = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[str, Assertion], ...]):
+        set_field(self, "entries", entries)
 
     def selected(self, include_h7: bool = False) -> tuple[tuple[str, Assertion], ...]:
         if include_h7:

@@ -1,14 +1,18 @@
 """Higher-order term trees, proof goals, occurrences, and induct arguments.
 
 Terms are curried: an application node has exactly one function and one
-argument, and bound variables are de Bruijn indices.  Assertions never see
-that shape directly.  Their nodes follow the way a goal reads when
+argument, and bound variables are de Bruijn indices.  Two terms are equal
+when they have the same constructors, names and indices.  Each term
+carries its hash from the moment it is built, and equality walks a term
+with an explicit stack, so depth costs no Python stack.  Assertions never
+see that shape directly.  Their nodes follow the way a goal reads when
 printed: a head and all of its arguments are the children of one
 application node, head first, and a lambda's body is its only child.
 
 An Occurrence addresses one such node of one subgoal by its child-index
 path from the root.  Two occurrences are equal exactly when their subgoal
-index and path are equal, even if they denote equal terms.
+index and path are equal, even if they denote equal terms.  It is a named
+tuple, so the index hashes and compares occurrences in C.
 
 Terms are hash-consed in a TermTable: each distinct term has one id,
 keyed on its constructor and its children's ids, and one canonical Term.
@@ -20,16 +24,17 @@ A goal's occurrences and distinct subterms come from one GoalIndex, built
 in one walk over term ids the first time `Goal.index` is read and cached
 on the goal for its lifetime.  Each occurrence carries the id of the term
 it denotes.  The interpreter compares terms by id and reads a node's kind
-from the type of its term; `enumerate_occurrences`, `enumerate_subterms`
-and `term_at` are views over the index.
+from the type of its term; `enumerate_occurrences` and
+`enumerate_subterms` are views over the index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 from functools import cached_property
-from typing import Union
+
+from .record import Record, set_field
 
 
 def _require_name(name: str) -> None:
@@ -37,70 +42,105 @@ def _require_name(name: str) -> None:
         raise ValueError("names must be non-empty strings")
 
 
-@dataclass(frozen=True)
-class Const:
-    name: str
+class _Term(Record):
+    """The base of the six term classes.  Each term carries its hash,
+    computed from its children's as it is built, so hashing never walks a
+    term and equality turns most unequal terms away at once."""
 
-    def __post_init__(self) -> None:
-        _require_name(self.name)
+    __slots__ = ("_hash",)
+
+    def __eq__(self, other: object) -> bool:
+        """Structural equality, from an explicit stack."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        todo = [self, other]
+        while todo:
+            b = todo.pop()
+            a = todo.pop()
+            if a is b:
+                continue
+            kind = a.__class__
+            if kind is not b.__class__ or a._hash != b._hash:
+                return False
+            if kind is App:
+                todo += (a.arg, b.arg, a.fun, b.fun)
+            elif kind is Lambda:
+                if a.binder != b.binder:
+                    return False
+                todo += (a.body, b.body)
+            elif kind is Bound:
+                if a.index != b.index:
+                    return False
+            elif a.name != b.name:
+                return False
+        return True
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
-@dataclass(frozen=True)
-class Free:
-    name: str
+class _Named(_Term):
+    """A leaf term that carries a name: Const, Free or Schematic."""
 
-    def __post_init__(self) -> None:
-        _require_name(self.name)
+    __slots__ = __match_args__ = _fields = ("name",)
 
-
-@dataclass(frozen=True)
-class Schematic:
-    name: str
-
-    def __post_init__(self) -> None:
-        _require_name(self.name)
+    def __init__(self, name: str):
+        _require_name(name)
+        _set_name(self, name)
+        _set_hash(self, hash(name))
 
 
-@dataclass(frozen=True)
-class Bound:
-    index: int
+class Const(_Named):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.index, int) or self.index < 0:
+
+class Free(_Named):
+    __slots__ = ()
+
+
+class Schematic(_Named):
+    __slots__ = ()
+
+
+class Bound(_Term):
+    __slots__ = __match_args__ = _fields = ("index",)
+
+    def __init__(self, index: int):
+        if not isinstance(index, int) or index < 0:
             raise ValueError("bound indices must be natural numbers")
+        _set_index(self, index)
+        _set_hash(self, hash(index))
 
 
-@dataclass(frozen=True)
-class Lambda:
-    binder: str
-    body: "Term"
+class Lambda(_Term):
+    __slots__ = __match_args__ = _fields = ("binder", "body")
 
-    def __post_init__(self) -> None:
-        _require_name(self.binder)
-
-
-@dataclass(frozen=True)
-class App:
-    fun: "Term"
-    arg: "Term"
+    def __init__(self, binder: str, body: Term):
+        _require_name(binder)
+        _set_binder(self, binder)
+        _set_body(self, body)
+        _set_hash(self, hash((binder, body._hash)))
 
 
-Term = Union[Const, Free, Schematic, Bound, Lambda, App]
+class App(_Term):
+    __slots__ = __match_args__ = _fields = ("fun", "arg")
+
+    def __init__(self, fun: Term, arg: Term):
+        _set_fun(self, fun)
+        _set_arg(self, arg)
+        _set_hash(self, hash((fun._hash, arg._hash)))
 
 
-def is_well_formed(term: Term, binders: int = 0) -> bool:
-    """True when every de Bruijn index is covered by an enclosing Lambda."""
-    todo = [(term, binders)]
-    while todo:
-        term, binders = todo.pop()
-        if isinstance(term, App):
-            todo.append((term.arg, binders))
-            todo.append((term.fun, binders))
-        elif isinstance(term, Lambda):
-            todo.append((term.body, binders + 1))
-        elif isinstance(term, Bound) and term.index >= binders:
-            return False
-    return True
+# Terms are built by the thousand as a case is read, so their fields are
+# set through the slots' own setters, which skip the attribute lookup that
+# set_field makes.
+_set_hash = _Term.__dict__["_hash"].__set__
+_set_name = _Named.__dict__["name"].__set__
+_set_index = Bound.__dict__["index"].__set__
+_set_binder, _set_body = (Lambda.__dict__[f].__set__ for f in Lambda.__slots__)
+_set_fun, _set_arg = (App.__dict__[f].__set__ for f in App.__slots__)
+
+Term = Const | Free | Schematic | Bound | Lambda | App
 
 
 class TermTable:
@@ -167,16 +207,18 @@ class TermTable:
         return done[0]
 
 
-@dataclass(frozen=True)
-class Goal:
-    subgoals: tuple[Term, ...]
-    # The table the subgoals were read into, if any; equality and repr
-    # ignore it.
-    table: TermTable | None = field(default=None, compare=False, repr=False)
+class Goal(Record):
+    """The subgoals of one proof goal, and the TermTable they were read
+    into, if any; equality and repr ignore the table."""
 
-    def __post_init__(self) -> None:
-        if not self.subgoals:
+    _fields = ("subgoals",)
+    __match_args__ = ("subgoals", "table")
+
+    def __init__(self, subgoals: tuple[Term, ...], table: TermTable | None = None):
+        if not subgoals:
             raise ValueError("a goal has at least one subgoal")
+        set_field(self, "subgoals", subgoals)
+        set_field(self, "table", table)
 
     @cached_property
     def index(self) -> "GoalIndex":
@@ -184,14 +226,7 @@ class Goal:
         return GoalIndex(self)
 
 
-@dataclass(frozen=True)
-class Occurrence:
-    subgoal: int
-    path: tuple[int, ...]
-
-
-def depth_of(occurrence: Occurrence) -> int:
-    return len(occurrence.path)
+Occurrence = namedtuple("Occurrence", ("subgoal", "path"))
 
 
 class GoalIndex:
@@ -277,23 +312,19 @@ def enumerate_subterms(goal: Goal) -> list[Term]:
     return list(goal.index.subterms)
 
 
-def term_at(goal: Goal, occurrence: Occurrence) -> Term:
-    index = goal.index
-    return index.term_of[index.term_ids[index.position(occurrence)]]
-
-
 class ParamPattern(Enum):
     VAR = "var"
     CONSTRUCTOR = "constructor"
 
 
-@dataclass(frozen=True)
-class ClausePattern:
-    params: tuple[ParamPattern, ...]
+class ClausePattern(Record):
+    __slots__ = __match_args__ = _fields = ("params",)
+
+    def __init__(self, params: tuple[ParamPattern, ...]):
+        set_field(self, "params", params)
 
 
-@dataclass(frozen=True)
-class Definition:
+class Definition(Record):
     """What the proof context records about one defined constant.
 
     Clauses keep only the left-hand-side parameter shapes: whether each
@@ -301,48 +332,57 @@ class Definition:
     data constructor.  A constant known only by name has no clauses.
     """
 
-    constant_name: str
-    is_recursive: bool
-    clauses: tuple[ClausePattern, ...] = ()
+    __slots__ = __match_args__ = _fields = ("constant_name", "is_recursive", "clauses")
 
-    def __post_init__(self) -> None:
-        _require_name(self.constant_name)
-        arities = {len(c.params) for c in self.clauses}
-        if len(arities) > 1:
-            raise ValueError(f"clauses of '{self.constant_name}' disagree on arity")
+    def __init__(
+        self, constant_name: str, is_recursive: bool, clauses: tuple[ClausePattern, ...] = ()
+    ):
+        _require_name(constant_name)
+        if len({len(c.params) for c in clauses}) > 1:
+            raise ValueError(f"clauses of '{constant_name}' disagree on arity")
+        set_field(self, "constant_name", constant_name)
+        set_field(self, "is_recursive", is_recursive)
+        set_field(self, "clauses", clauses)
 
     @property
     def arity(self) -> int | None:
         return len(self.clauses[0].params) if self.clauses else None
 
 
-@dataclass(frozen=True)
-class RuleRecord:
-    rule_name: str
-    derived_from: str
+class RuleRecord(Record):
+    __slots__ = __match_args__ = _fields = ("rule_name", "derived_from")
 
-    def __post_init__(self) -> None:
-        _require_name(self.rule_name)
-        _require_name(self.derived_from)
+    def __init__(self, rule_name: str, derived_from: str):
+        _require_name(rule_name)
+        _require_name(derived_from)
+        set_field(self, "rule_name", rule_name)
+        set_field(self, "derived_from", derived_from)
 
 
-@dataclass(frozen=True)
-class Context:
-    definitions: dict[str, Definition]
-    rules: dict[str, RuleRecord]
+class Context(Record):
+    __slots__ = __match_args__ = _fields = ("definitions", "rules")
 
-    def __post_init__(self) -> None:
-        for rule in self.rules.values():
-            if rule.derived_from not in self.definitions:
+    def __init__(self, definitions: dict[str, Definition], rules: dict[str, RuleRecord]):
+        for rule in rules.values():
+            if rule.derived_from not in definitions:
                 raise ValueError(
                     f"rule '{rule.rule_name}' derives from unknown constant '{rule.derived_from}'"
                 )
+        set_field(self, "definitions", definitions)
+        set_field(self, "rules", rules)
 
 
-@dataclass(frozen=True)
-class InductArgs:
+class InductArgs(Record):
     """The three argument fields handed to the induct method."""
 
-    induction_terms: tuple[Term, ...] = ()
-    arbitrary_terms: tuple[Term, ...] = ()
-    rules: tuple[str, ...] = ()
+    __slots__ = __match_args__ = _fields = ("induction_terms", "arbitrary_terms", "rules")
+
+    def __init__(
+        self,
+        induction_terms: tuple[Term, ...] = (),
+        arbitrary_terms: tuple[Term, ...] = (),
+        rules: tuple[str, ...] = (),
+    ):
+        set_field(self, "induction_terms", induction_terms)
+        set_field(self, "arbitrary_terms", arbitrary_terms)
+        set_field(self, "rules", rules)

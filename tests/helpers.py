@@ -1,4 +1,5 @@
-"""Shared test machinery: generators and AST transforms.
+"""Shared test machinery: generators, AST transforms, and views of a goal
+and a case that only tests need.
 
 The assertion generator produces closed, well-sorted ASTs so they both
 round-trip through the renderer and evaluate without sort errors.
@@ -32,7 +33,8 @@ from lifter.lang import (
     TermsIn,
     domain_sort,
 )
-from lifter.ingest import CorpusCase, render_case_file
+from lifter.ingest import CorpusCase, render_term_sexp
+from lifter.sexp import quote_string
 from lifter.terms import (
     App,
     Bound,
@@ -44,10 +46,57 @@ from lifter.terms import (
     Goal,
     InductArgs,
     Lambda,
+    Occurrence,
     ParamPattern,
     RuleRecord,
     Schematic,
+    Term,
 )
+
+def term_at(goal: Goal, occurrence: Occurrence) -> Term:
+    """The term an occurrence denotes, read from the goal's index."""
+    index = goal.index
+    return index.term_of[index.term_ids[index.position(occurrence)]]
+
+
+def depth_of(occurrence: Occurrence) -> int:
+    return len(occurrence.path)
+
+
+def render_case_file(case: CorpusCase) -> str:
+    lines: list[str] = [f"(case {quote_string(case.case_id)}"]
+    lines.append("  (goal")
+    for sub in case.goal.subgoals:
+        lines.append(f"    (subgoal {render_term_sexp(sub)})")
+    lines[-1] += ")"
+    lines.append("  (context")
+    for defn in case.context.definitions.values():
+        rec = "true" if defn.is_recursive else "false"
+        entry = f"    (defn {quote_string(defn.constant_name)} (recursive {rec})"
+        if defn.clauses:
+            clauses = " ".join(
+                "(clause " + " ".join(p.value for p in clause.params) + ")"
+                for clause in defn.clauses
+            )
+            entry += f" (clauses {clauses})"
+        lines.append(entry + ")")
+    for rule in case.context.rules.values():
+        lines.append(
+            f"    (rule {quote_string(rule.rule_name)}"
+            f" (derived-from {quote_string(rule.derived_from)}))"
+        )
+    lines[-1] += ")"
+    for args_id, args in case.arg_sets.items():
+        on = "".join(" " + render_term_sexp(t) for t in args.induction_terms)
+        arb = "".join(" " + render_term_sexp(t) for t in args.arbitrary_terms)
+        rules = "".join(" " + quote_string(r) for r in args.rules)
+        lines.append(f"  (args {quote_string(args_id)}")
+        lines.append(f"    (on{on})")
+        lines.append(f"    (arbitrary{arb})")
+        lines.append(f"    (rule{rules}))")
+    lines[-1] += ")"
+    return "\n".join(lines) + "\n"
+
 
 _NAMES = ["x0", "x1", "x2", "y0", "y1", "z0"]
 

@@ -335,3 +335,21 @@ class TestModuleEntry:
         proc = self.run("assert", "--case", case_path("itrev"), "--args", "model",
                         "--heuristic", str(heuristic))
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "Assertion succeeded.\n", "")
+
+    def test_long_implication_chain_gets_a_verdict(self, tmp_path):
+        # `True ->` x 2000 used to raise RecursionError while parsing.
+        heuristic = tmp_path / "imps.lifter"
+        heuristic.write_text("True -> " * 2000 + "True\n", encoding="utf-8")
+        proc = self.run("assert", "--case", case_path("itrev"), "--args", "model",
+                        "--heuristic", str(heuristic))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "Assertion succeeded.\n", "")
+
+    def test_deep_nesting_exits_two_with_its_position(self, tmp_path):
+        # 300 nested parentheses used to raise RecursionError and exit 1.
+        heuristic = tmp_path / "parens.lifter"
+        heuristic.write_text("(" * 300 + "True" + ")" * 300 + "\n", encoding="utf-8")
+        proc = self.run("assert", "--case", case_path("itrev"), "--args", "model",
+                        "--heuristic", str(heuristic))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        message = "parentheses and quantifiers nest deeper than 100 levels"
+        assert proc.stderr == f"lifter: {heuristic}: 1:101: {message}\n"

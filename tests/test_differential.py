@@ -59,10 +59,9 @@ from lifter.terms import (
     RuleRecord,
     enumerate_occurrences,
     enumerate_subterms,
-    term_at,
 )
 
-from helpers import random_assertion, random_domain, terms_strategy
+from helpers import random_assertion, random_domain, term_at, terms_strategy
 
 STDLIB = load_stdlib().entries
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lifter import bundled_corpus_dir, load_case_file, parse_case_file
-from lifter.ingest import CorpusCase, render_case_file
+from lifter.ingest import CorpusCase
 from lifter.interp import Evaluator, evaluate
 from lifter.terms import (
     App,
@@ -29,7 +29,7 @@ from lifter.terms import (
     enumerate_occurrences,
 )
 
-from helpers import terms_strategy
+from helpers import render_case_file, terms_strategy
 
 CONSTRUCTOR, VAR = ParamPattern.CONSTRUCTOR, ParamPattern.VAR
 

@@ -12,14 +12,13 @@ from lifter.ingest import (
     load_corpus_dir,
     parse_case_file,
     parse_term_sexp,
-    render_case_file,
     render_term_sexp,
 )
 from lifter.interp import classify_clause_params, evaluate
 from lifter.lang import Pattern
 from lifter.terms import App, Bound, Const, Free, Lambda, ParamPattern, Schematic
 
-from helpers import deep_case_text, terms_strategy
+from helpers import deep_case_text, render_case_file, terms_strategy
 
 MINI_CASE = """
 (case "mini"

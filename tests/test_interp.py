@@ -40,10 +40,9 @@ from lifter.terms import (
     Lambda,
     Occurrence,
     Schematic,
-    term_at,
 )
 
-from helpers import desugar_occurrence_quants, random_closed_quant
+from helpers import desugar_occurrence_quants, random_closed_quant, term_at
 
 NO_ARGS = InductArgs()
 EMPTY_CONTEXT = Context({}, {})

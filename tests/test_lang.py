@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lifter.lang import (
+    MAX_NESTING,
     AllNumbers,
     AllOccs,
     AllRules,
@@ -243,3 +244,37 @@ class TestRendering:
     @settings(max_examples=200)
     def test_generated_assertions_sort_check(self, seed):
         sort_check(random_assertion(random.Random(seed)))
+
+
+class TestDeepInput:
+    """Chains of one connective cost no Python stack per link, and nesting
+    past MAX_NESTING is a positioned ParseError, never a RecursionError."""
+
+    def test_long_implication_chain_folds_to_the_right(self):
+        node = sort_check(parse_assertion("True -> " * 2000 + "False"))
+        for _ in range(2000):
+            assert isinstance(node, Imp) and node.lhs == BoolLit(True)
+            node = node.rhs
+        assert node == BoolLit(False)
+
+    @pytest.mark.parametrize("op", ["/\\", "\\/"])
+    def test_long_and_or_chains_sort_check(self, op):
+        assert sort_check(parse_assertion(f" {op} ".join(["True"] * 2000)))
+
+    def test_300_nested_parentheses_are_refused_where_they_pass_the_limit(self):
+        with pytest.raises(ParseError) as info:
+            parse_assertion("(" * 300 + "True" + ")" * 300)
+        message = "parentheses and quantifiers nest deeper than 100 levels"
+        assert str(info.value) == f"1:101: {message}"
+
+    def test_nesting_up_to_the_limit_parses(self):
+        text = "(" * MAX_NESTING + "True" + ")" * MAX_NESTING
+        assert parse_assertion(text) == BoolLit(True)
+        quants = "".join(f"EX x{i} : term .\n" for i in range(MAX_NESTING))
+        assert sort_check(parse_assertion(quants + "True"))
+
+    def test_quantifiers_count_toward_the_limit(self):
+        text = "EX t : term . (" * 50 + "\n  EX u : term . True" + ")" * 50
+        with pytest.raises(ParseError) as info:
+            parse_assertion(text)
+        assert (info.value.line, info.value.col) == (2, 3)

@@ -23,14 +23,12 @@ from lifter.terms import (
     ParamPattern,
     RuleRecord,
     Schematic,
-    depth_of,
     enumerate_occurrences,
     enumerate_subterms,
-    is_well_formed,
-    term_at,
 )
 
-from helpers import terms_strategy
+from helpers import depth_of, term_at, terms_strategy
+from oracle_ingest import is_well_formed
 from oracle_interp import AppNode, Atom, LambdaNode, flatten, node_children, unflatten
 
 
@@ -232,3 +230,35 @@ class TestContextTypes:
         assert Free("x") == Free("x")
         assert Free("x") != Schematic("x")
         assert Lambda("a", Bound(0)) != Lambda("b", Bound(0))
+
+
+class TestDeepTermEquality:
+    """`==` and `hash()` on terms 3,000 levels deep take no Python stack per
+    level; both used to raise RecursionError."""
+
+    DEPTH = 3000
+
+    @staticmethod
+    def build(shape: str, leaf) -> object:
+        term = leaf
+        for _ in range(TestDeepTermEquality.DEPTH):
+            if shape == "fun":
+                term = App(term, Free("x"))
+            elif shape == "arg":
+                term = App(Const("s"), term)
+            else:
+                term = Lambda("v", App(term, Bound(0)))
+        return term
+
+    @pytest.mark.parametrize("shape", ["fun", "arg", "lambda"])
+    def test_separately_built_equal_terms(self, shape):
+        a, b = self.build(shape, Const("z")), self.build(shape, Const("z"))
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert Goal((a,)) == Goal((b,))
+
+    @pytest.mark.parametrize("shape", ["fun", "arg", "lambda"])
+    def test_a_different_leaf_at_the_bottom(self, shape):
+        a, b = self.build(shape, Const("z")), self.build(shape, Free("z"))
+        assert a != b and not a == b
+        assert Goal((a,)) != Goal((b,))
