@@ -6,8 +6,9 @@
 
 `assert` exits 0 when the assertion holds and 1 when it does not; any
 parse or validation failure exits 2 with a diagnostic on stderr and no
-verdict.  `extract` writes its table atomically: a failed run leaves no
-partial output file.
+verdict.  Any other error is a fault in lifter itself: it exits 3 with a
+one-line `internal error` message on stderr and no traceback.  `extract`
+writes its table atomically: a failed run leaves no partial output file.
 """
 
 from __future__ import annotations
@@ -24,6 +25,11 @@ from .interp import evaluate, find_witnesses
 from .lang import parse_assertion, sort_check
 from .stdlib import load_stdlib
 from .terms import InductArgs, Occurrence
+
+
+# The exit code of an unexpected exception: neither a verdict (0, 1) nor
+# an input error (2).
+INTERNAL_ERROR = 3
 
 
 def _arg_set(case: CorpusCase, args_id: str) -> InductArgs:
@@ -159,6 +165,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"lifter: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"lifter: internal error: {exc!r}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 def entry() -> None:

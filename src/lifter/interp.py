@@ -37,12 +37,15 @@ it.  Chains of Not fold to one negation or none, and chains of And, Or and
 -> flatten into one closure each, so a long chain takes no Python stack per
 link.  Compiled code still calls `Evaluator.atomic` and
 `Evaluator.domain_values` through the evaluator, so wrapping those two
-attributes on one evaluator counts every atomic call and domain it makes,
-with one exception: the guard of rule (N) below is decided by
-`Evaluator._argument_index` directly, never by a call of `atomic`, so such
-counts leave narrowed guards out.
+attributes on one evaluator counts every atomic call and every domain it
+makes, narrowed domains included: a quantifier narrowed by rule (O) below
+asks `domain_values` for a compiler-internal domain object, which stands
+for the narrowed candidates and gets the slot list in place of bindings.
+A guard that a rewrite drops is never called: rule (N) decides its guard
+through `Evaluator._argument_index`, and rule (O) through the index, so
+such counts leave those guards out.
 
-Two rewrites narrow quantifiers while compiling.  Both are exact, because
+Three rewrites narrow quantifiers while compiling.  All are exact, because
 every atomic is total and has no side effects, so neither the order nor
 the number of times a subformula runs can change its value:
 
@@ -55,6 +58,25 @@ the number of times a subformula runs can change its value:
       tests the implication at n = k only, since Ci is false at every
       other number, and holds when there is no such k.  A guard under Not
       or Or pins nothing, so only direct conjuncts count.
+  (O) occurrence guard.  In EX x : D . C1 /\\ ... /\\ Ck, or dually in
+      ALL x : D . C1 /\\ ... /\\ Ck -> C, where D is term_occurrence or
+      term_occurrence IN t, one conjunct Ci may pin x relative to an
+      occurrence h or o, a number n or a term u bound outside the quantifier:
+        x is_an_argument_of h             x ranges over h's arguments
+        is_nth_argument_of (x, n, h)      over h's argument n, if any
+        EX y : D' . ... /\\ is_nth_argument_of (x, n, h) /\\ ...
+                                          over h's arguments, for any y, n
+        x is_in_term_occurrence o         over the nodes of o's subtree
+        x term_occurrence_is_of_term u    over the occurrences of u
+      Then x ranges only over those candidates that are also in D, in
+      preorder, which is D's own order, so the first satisfying value and
+      every witness stay the same.  An atomic guard holds exactly on its
+      candidates and is dropped; the EX guard stays, since its body says
+      more.  The shorter side is walked: the candidates, each tested for
+      t, or t's occurrences, each tested against the guard, both tests
+      O(1) on the index.  As in (N), only direct conjuncts count, never one
+      under Not or Or, nor an EX over an implication; a guard whose other
+      variable is x itself, or is shadowed by x, pins nothing.
   (H) hoisting.  EX x : D . A /\\ B  is  A /\\ EX x : D . B, and
       ALL x : D . (A /\\ B) -> C  is  A -> ALL x : D . (B -> C), whenever x
       is not free in A, wherever A stands among the conjuncts.  Such an A
@@ -65,7 +87,8 @@ the number of times a subformula runs can change its value:
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
+from operator import itemgetter
 
 from .lang import (
     AllNumbers,
@@ -119,6 +142,11 @@ def classify_clause_params(definition: Definition, n: int) -> Pattern | None:
     return Pattern.ALL_CONSTRUCTOR
 
 
+def _kind_test(kinds) -> Callable[[Evaluator, Occurrence], bool]:
+    """An atomic that holds when the node's term is of one of kinds."""
+    return lambda ev, occ: isinstance(ev._node(occ), kinds)
+
+
 class Evaluator:
     """Atomic semantics and quantifier domains for one (goal, context, args).
 
@@ -156,11 +184,13 @@ class Evaluator:
         return self.index.table.intern(term, self._extra)
 
     def _term_id(self, term: Term) -> int:
-        tid = self._arg_ids.get(id(term))
+        tid = self.index.table.canonical.get(id(term))
+        if tid is None:
+            tid = self._arg_ids.get(id(term))
         return self._intern(term) if tid is None else tid
 
     def _node(self, occ: Occurrence) -> Term | None:
-        i = self.index.positions.get(occ)
+        i = self.index.find(occ)
         return None if i is None else self.index.term_of[self.index.term_ids[i]]
 
     def run(self, assertion: Assertion) -> bool:
@@ -181,8 +211,15 @@ class Evaluator:
         # chain binds slots 0, 1, 2, ... in order.
         return [(var, env[slot]) for slot, var in enumerate(program.chain)]
 
-    def domain_values(self, domain, env: Mapping[str, object]):
+    def domain_values(self, domain, env):
+        """The values of a domain.  env maps the term variable of an OccsOf
+        domain to its term; a narrowed domain of rule (O) reads its
+        variables from env as the slot list, and any other ignores env."""
         match domain:
+            case OccsOf(term_var):
+                return self.index.occs_of.get(self._term_id(env[term_var]), [])
+            case _Guarded():
+                return self._guarded(domain, env)
             case AllNumbers():
                 return self.numbers
             case AllRules():
@@ -195,79 +232,114 @@ class Evaluator:
                 if modifier is Modifier.INDUCTION:
                     return self.args.induction_terms
                 return self.args.arbitrary_terms
-            case OccsOf(term_var):
-                return self.index.occs_of.get(self._term_id(env[term_var]), [])
         raise TypeError(f"not a domain: {domain!r}")
 
+    def _guarded(self, domain: _Guarded, env: list) -> list[Occurrence]:
+        """The occurrences of a narrowed domain, in preorder.  Whichever side
+        is shorter is walked: the guard's candidates, each tested for the
+        term, or the term's occurrences, each tested against the guard."""
+        index, kind = self.index, domain.kind
+        tid = None if domain.term is None else self._term_id(env[domain.term])
+        if kind == _OF_TERM:
+            own = self._term_id(env[domain.anchor])
+            return index.occs_of.get(own, []) if tid is None or tid == own else []
+        occs, end, at = index.occurrences, index.end, index.by_id
+        a = at[id(env[domain.anchor])]  # a scope occurrence: no other is bound
+        pool = self.occurrences if tid is None else index.occs_of.get(tid, [])
+        # The guard admits the positions from lo up to stop, at depth if given.
+        if kind == _SUBTREE:
+            lo, stop, depth = a, end[a], None
+            found = range(a, stop)
+        else:
+            path = occs[a].path
+            if not path or path[-1]:  # the anchor heads no application
+                return []
+            lo, stop, depth = a + 1, end[a - 1], len(path)
+            found, s = [], end[a]  # s: the first argument
+            if kind == _NTH:
+                n = env[domain.number]
+                while n and s < stop:
+                    s, n = end[s], n - 1
+                found = [s] if s < stop else []
+            else:  # at most one argument more than the pool holds
+                while s < stop and len(found) <= len(pool):
+                    found.append(s)
+                    s = end[s]
+        if len(found) > len(pool):
+            return [
+                o for o in pool
+                if lo <= at[id(o)] < stop and (depth is None or len(o.path) == depth)
+            ]
+        tids = index.term_ids
+        return [occs[i] for i in found if tid is None or tids[i] == tid]
+
     def atomic(self, name: AtomicName, values: tuple) -> bool:
-        match name:
-            case AtomicName.IS_RULE_OF:
-                rule_name, occ = values
-                node = self._node(occ)
-                record = self.context.rules.get(rule_name)
-                return (
-                    record is not None
-                    and isinstance(node, Const)
-                    and record.derived_from == node.name
-                )
-            case AtomicName.TERM_OCCURRENCE_IS_OF_TERM:
-                occ, term = values
-                i = self.index.positions.get(occ)
-                return i is not None and self.index.term_ids[i] == self._term_id(term)
-            case AtomicName.ARE_SAME_TERM:
-                return self._term_id(values[0]) == self._term_id(values[1])
-            case AtomicName.IS_IN_TERM_OCCURRENCE:
-                inner, outer = values
-                return (
-                    inner.subgoal == outer.subgoal
-                    and inner.path[: len(outer.path)] == outer.path
-                )
-            case AtomicName.IS_ATOMIC:
-                node = self._node(values[0])
-                return node is not None and not isinstance(node, (App, Lambda))
-            case AtomicName.IS_CONSTANT:
-                return isinstance(self._node(values[0]), Const)
-            case AtomicName.IS_RECURSIVE_CONSTANT:
-                node = self._node(values[0])
-                if not isinstance(node, Const):
-                    return False
-                definition = self.context.definitions.get(node.name)
-                return definition is not None and definition.is_recursive
-            case AtomicName.IS_VARIABLE:
-                return isinstance(self._node(values[0]), (Free, Schematic, Bound))
-            case AtomicName.IS_FREE_VARIABLE:
-                return isinstance(self._node(values[0]), Free)
-            case AtomicName.IS_BOUND_VARIABLE:
-                return isinstance(self._node(values[0]), Bound)
-            case AtomicName.IS_LAMBDA:
-                return isinstance(self._node(values[0]), Lambda)
-            case AtomicName.IS_APPLICATION:
-                return isinstance(self._node(values[0]), App)
-            case AtomicName.IS_AN_ARGUMENT_OF:
-                return self._argument_index(values[0], values[1]) is not None
-            case AtomicName.IS_NTH_ARGUMENT_OF:
-                arg_occ, n, head_occ = values
-                return self._argument_index(arg_occ, head_occ) == n
-            case AtomicName.IS_NTH_INDUCTION_TERM:
-                term, n = values
-                ids = self._induction_ids
-                return n < len(ids) and ids[n] == self._term_id(term)
-            case AtomicName.IS_NTH_ARBITRARY_TERM:
-                term, n = values
-                ids = self._arbitrary_ids
-                return n < len(ids) and ids[n] == self._term_id(term)
-            case AtomicName.PATTERN_IS:
-                n, occ, pattern = values
-                node = self._node(occ)
-                if not isinstance(node, Const):
-                    return False
-                definition = self.context.definitions.get(node.name)
-                if definition is None:
-                    return False
-                return classify_clause_params(definition, n) is pattern
-            case AtomicName.IS_AT_DEEPEST:
-                return len(values[0].path) == self.max_depth
-        raise TypeError(f"not an atomic: {name!r}")
+        try:
+            test = _ATOMICS[id(name)]
+        except KeyError:
+            raise TypeError(f"not an atomic: {name!r}") from None
+        return test(self, *values)
+
+    # The atomics, one method each, named after the atomic.
+
+    def _is_rule_of(self, rule_name: str, occ: Occurrence) -> bool:
+        node = self._node(occ)
+        record = self.context.rules.get(rule_name)
+        return record is not None and isinstance(node, Const) and record.derived_from == node.name
+
+    def _term_occurrence_is_of_term(self, occ: Occurrence, term: Term) -> bool:
+        i = self.index.find(occ)
+        return i is not None and self.index.term_ids[i] == self._term_id(term)
+
+    def _are_same_term(self, a: Term, b: Term) -> bool:
+        return self._term_id(a) == self._term_id(b)
+
+    def _is_in_term_occurrence(self, inner: Occurrence, outer: Occurrence) -> bool:
+        return inner.subgoal == outer.subgoal and inner.path[: len(outer.path)] == outer.path
+
+    def _is_atomic(self, occ: Occurrence) -> bool:
+        node = self._node(occ)
+        return node is not None and not isinstance(node, (App, Lambda))
+
+    def _is_recursive_constant(self, occ: Occurrence) -> bool:
+        node = self._node(occ)
+        if not isinstance(node, Const):
+            return False
+        definition = self.context.definitions.get(node.name)
+        return definition is not None and definition.is_recursive
+
+    _is_constant = _kind_test(Const)
+    _is_variable = _kind_test((Free, Schematic, Bound))
+    _is_free_variable = _kind_test(Free)
+    _is_bound_variable = _kind_test(Bound)
+    _is_lambda = _kind_test(Lambda)
+    _is_application = _kind_test(App)
+
+    def _is_an_argument_of(self, arg_occ: Occurrence, head_occ: Occurrence) -> bool:
+        return self._argument_index(arg_occ, head_occ) is not None
+
+    def _is_nth_argument_of(self, arg_occ: Occurrence, n: int, head_occ: Occurrence) -> bool:
+        return self._argument_index(arg_occ, head_occ) == n
+
+    def _is_nth_induction_term(self, term: Term, n: int) -> bool:
+        ids = self._induction_ids
+        return n < len(ids) and ids[n] == self._term_id(term)
+
+    def _is_nth_arbitrary_term(self, term: Term, n: int) -> bool:
+        ids = self._arbitrary_ids
+        return n < len(ids) and ids[n] == self._term_id(term)
+
+    def _pattern_is(self, n: int, occ: Occurrence, pattern: Pattern) -> bool:
+        node = self._node(occ)
+        if not isinstance(node, Const):
+            return False
+        definition = self.context.definitions.get(node.name)
+        if definition is None:
+            return False
+        return classify_clause_params(definition, n) is pattern
+
+    def _is_at_deepest(self, occ: Occurrence) -> bool:
+        return len(occ.path) == self.max_depth
 
     def _argument_index(self, arg_occ: Occurrence, head_occ: Occurrence) -> int | None:
         """Argument slot (0-based) arg_occ fills under head_occ's application,
@@ -281,9 +353,14 @@ class Evaluator:
         # Only an application has a child past slot 0, so an existing
         # occurrence there is one of its arguments.
         slot = arg_occ.path[-1]
-        if slot < 1 or arg_occ not in self.index.positions:
+        if slot < 1 or self.index.find(arg_occ) is None:
             return None
         return slot - 1
+
+
+# Evaluator.atomic's table, keyed by the id of each AtomicName member: an
+# Enum member's own hash is Python code.
+_ATOMICS = {id(name): getattr(Evaluator, f"_{name.value}") for name in AtomicName}
 
 
 def evaluate(assertion: Assertion, goal: Goal, context: Context, args: InductArgs) -> bool:
@@ -378,10 +455,19 @@ class _Compiler:
             conjuncts, consequent = _operands(node.body, And), None
         else:
             conjuncts, consequent = _implication_parts(node.body)
+        domain, term_slot = node.domain, None
+        if isinstance(domain, OccsOf):
+            term_slot = scope[domain.term_var]
         guard = _number_guard(node, conjuncts, inner)
         if guard is not None:
             arg, _, head = (inner[v] for v in conjuncts[guard].args)
             conjuncts = conjuncts[:guard] + conjuncts[guard + 1:]
+        elif isinstance(domain, (AllOccs, OccsOf)):
+            narrowing = _occurrence_guard(slot, conjuncts, inner, term_slot)
+            if narrowing is not None:
+                where, domain, exact = narrowing
+                if exact:
+                    conjuncts = conjuncts[:where] + conjuncts[where + 1:]
         compiled = [self.compile(c, inner, depth + 1) for c in conjuncts]
         reads = frozenset().union(*(r for _, r in compiled))
         hoisted = [t for t, r in compiled if slot not in r]
@@ -396,11 +482,12 @@ class _Compiler:
         reads -= {slot}
         if guard is not None:
             return _narrowed(found, slot, arg, head, pre, each), reads | {arg, head}
-        term_slot = None
-        if isinstance(node.domain, OccsOf):
-            term_slot = scope[node.domain.term_var]
+        if isinstance(domain, _Guarded):
+            reads |= {domain.anchor, domain.number, term_slot} - {None}
+            term_slot = None  # the narrowed domain reads the slot list itself
+        elif term_slot is not None:
             reads |= {term_slot}
-        return _scan(found, node.domain, term_slot, slot, pre, each), reads
+        return _scan(found, domain, term_slot, slot, pre, each), reads
 
 
 def _operands(node: Assertion, op: type) -> list[Assertion]:
@@ -438,6 +525,57 @@ def _number_guard(node: Quant, conjuncts: list[Assertion], scope: dict[str, int]
     return None
 
 
+# The guards of rule (O), by the candidates each admits.
+_ARGUMENTS, _NTH, _SUBTREE, _OF_TERM = "arguments", "nth", "subtree", "of term"
+
+
+class _Guarded:
+    """An occurrence domain narrowed by rule (O): the occurrences of the
+    declared domain, every scope occurrence or, when `term` is a slot, those
+    of the term there, that the guard admits relative to the occurrence in
+    slot `anchor`: its arguments, its argument number env[number], or the
+    nodes of its subtree; or the occurrences of the term in slot `anchor`."""
+
+    __slots__ = ("kind", "anchor", "number", "term")
+
+    def __init__(self, kind: str, anchor: int, number: int | None, term: int | None):
+        self.kind, self.anchor, self.number, self.term = kind, anchor, number, term
+
+
+def _occurrence_guard(
+    slot: int, conjuncts: list[Assertion], scope: dict[str, int], term: int | None
+) -> tuple[int, _Guarded, bool] | None:
+    """Rule (O): the first conjunct that pins the occurrence bound at slot
+    relative to occurrences and numbers bound outside it, as (where, the
+    narrowed domain, whether the guard holds exactly on that domain, so that
+    the conjunct can go); None if no conjunct does."""
+    for i, c in enumerate(conjuncts):
+        if isinstance(c, Atomic) and c.name in _GUARDS:
+            slots = [scope[v] for v in c.args]
+            if slots[0] == slot and max(slots[1:]) < slot:
+                kind = _GUARDS[c.name]
+                number = slots[1] if kind == _NTH else None
+                return i, _Guarded(kind, slots[-1], number, term), True
+        elif isinstance(c, Quant) and c.kind is QuantKind.EXISTS:
+            # EX n . ... /\ is_nth_argument_of (x, n, h) /\ ... holds only
+            # where x is an argument of h, whatever n is; the conjunct stays.
+            inner = {**scope, c.var: slot + 1}
+            for a in _operands(c.body, And):
+                if isinstance(a, Atomic) and a.name is AtomicName.IS_NTH_ARGUMENT_OF:
+                    arg, _, head = (inner[v] for v in a.args)
+                    if arg == slot and head < slot:
+                        return i, _Guarded(_ARGUMENTS, head, None, term), False
+    return None
+
+
+_GUARDS = {
+    AtomicName.IS_AN_ARGUMENT_OF: _ARGUMENTS,
+    AtomicName.IS_NTH_ARGUMENT_OF: _NTH,
+    AtomicName.IS_IN_TERM_OCCURRENCE: _SUBTREE,
+    AtomicName.TERM_OCCURRENCE_IS_OF_TERM: _OF_TERM,
+}
+
+
 def _constant(value: bool) -> Test:
     return lambda ev, env: value
 
@@ -469,11 +607,25 @@ def _atomic(name: AtomicName, args: tuple, scope: dict[str, int]) -> tuple[Test,
     """A call of Evaluator.atomic through the instance, so that a wrapped
     atomic sees every call."""
     spec = [(scope[a], None) if isinstance(a, str) else (None, a) for a in args]
+    slots = [slot for slot, _ in spec if slot is not None]
+    if len(slots) == 1 == len(spec):
+        (only,) = slots
 
-    def atomic(ev, env):
-        return ev.atomic(name, tuple(value if slot is None else env[slot] for slot, value in spec))
+        def atomic(ev, env):
+            return ev.atomic(name, (env[only],))
 
-    return atomic, frozenset(slot for slot, _ in spec if slot is not None)
+    elif len(slots) == len(spec):
+        values = itemgetter(*slots)  # a tuple of two or more
+
+        def atomic(ev, env):
+            return ev.atomic(name, values(env))
+
+    else:
+
+        def atomic(ev, env):
+            return ev.atomic(name, tuple([v if s is None else env[s] for s, v in spec]))
+
+    return atomic, frozenset(slots)
 
 
 def _scan(
@@ -483,12 +635,15 @@ def _scan(
 
     pre, if any, is the hoisted part, which does not read the slot; each,
     if any, is the rest, read for every value.  An empty domain or a false
-    hoisted part gives `not found` before anything else runs.
+    hoisted part gives `not found` before anything else runs.  An OccsOf
+    domain gets its term variable's binding; any other gets the slot list.
     """
 
     def scan(ev, env):
-        bindings = {} if term_slot is None else {domain.term_var: env[term_slot]}
-        values = ev.domain_values(domain, bindings)
+        if term_slot is not None:
+            values = ev.domain_values(domain, {domain.term_var: env[term_slot]})
+        else:
+            values = ev.domain_values(domain, env)
         if not values or (pre is not None and not pre(ev, env)):
             return not found
         if each is None:  # EX whose whole body was hoisted

@@ -177,25 +177,59 @@ CALL_NAMES = frozenset(
 Position = tuple[int, int]
 
 
-# Assertion nodes keep a __dict__, where the interpreter caches each
-# node's compiled program; equality and repr read only the fields.
+class _Node(Record):
+    """The base of the assertion classes.  Nodes keep a __dict__, where the
+    interpreter caches each node's compiled program; equality, hashing and
+    repr read only the fields.  Equality and hashing walk a tree from an
+    explicit stack, so depth costs no Python stack."""
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__:
+                return False
+            for x, y in zip(a._values(), b._values()):
+                if isinstance(x, _Node):
+                    todo.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+    def __hash__(self) -> int:
+        # Each node's class and leaf fields, in one fixed order of the walk.
+        parts: list = []
+        todo = [self]
+        while todo:
+            node = todo.pop()
+            parts.append(node.__class__)
+            for value in node._values():
+                if isinstance(value, _Node):
+                    todo.append(value)
+                else:
+                    parts.append(value)
+        return hash(tuple(parts))
 
 
-class BoolLit(Record):
+class BoolLit(_Node):
     __match_args__ = _fields = ("value",)
 
     def __init__(self, value: bool):
         set_field(self, "value", value)
 
 
-class Not(Record):
+class Not(_Node):
     __match_args__ = _fields = ("body",)
 
     def __init__(self, body: Assertion):
         set_field(self, "body", body)
 
 
-class _Binary(Record):
+class _Binary(_Node):
     __match_args__ = _fields = ("lhs", "rhs")
 
     def __init__(self, lhs: Assertion, rhs: Assertion):
@@ -215,7 +249,7 @@ class Imp(_Binary):
     pass
 
 
-class Quant(Record):
+class Quant(_Node):
     """A quantifier; `pos`, where it starts in the text, is not compared."""
 
     _fields = ("kind", "var", "domain", "body")
@@ -236,7 +270,7 @@ class Quant(Record):
         set_field(self, "pos", pos)
 
 
-class Atomic(Record):
+class Atomic(_Node):
     """An atomic call; `pos`, where it starts in the text, is not compared."""
 
     _fields = ("name", "args")
@@ -637,36 +671,44 @@ def render_domain(domain: DomainSpec) -> str:
 
 
 def render_assertion(assertion: Assertion) -> str:
-    """Canonical one-line text; re-parsing yields an equal AST."""
-    return _render(assertion, 1, True)
+    """Canonical one-line text; re-parsing yields an equal AST.  The text is
+    put together from an explicit stack, so depth costs no Python stack."""
+    out: list[str] = []
+    # Items are text, or (node, min_level, tail).  Levels: 1 imp, 2 or,
+    # 3 and, 4 unary.  `tail` is true when nothing follows to the right, so
+    # a quantifier body may run to the end bare.
+    todo: list = [(assertion, 1, True)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, min_level, tail = item
+        match node:
+            case BoolLit(value):
+                parts: list = ["True" if value else "False"]
+            case Atomic():
+                parts = [_render_atomic(node)]
+            case Not(body):
+                parts = ["Not ( ", (body, 1, True), " )"]
+            case Quant(kind, var, domain, body):
+                parts = [f"{kind.value} {var} : {render_domain(domain)} . ", (body, 1, True)]
+                if not tail:
+                    parts = ["( ", *parts, " )"]
+            case And(lhs, rhs) | Or(lhs, rhs) | Imp(lhs, rhs):
+                level, op, lhs_level, rhs_level = _BINARY_LEVELS[node.__class__]
+                wrap = min_level > level
+                parts = [(lhs, lhs_level, False), op, (rhs, rhs_level, tail or wrap)]
+                if wrap:
+                    parts = ["( ", *parts, " )"]
+            case _:
+                raise TypeError(f"not an assertion: {node!r}")
+        todo.extend(reversed(parts))
+    return "".join(out)
 
 
-def _render(node: Assertion, min_level: int, tail: bool) -> str:
-    # Levels: 1 imp, 2 or, 3 and, 4 unary.  `tail` is true when nothing
-    # follows to the right, so a quantifier body may run to the end bare.
-    match node:
-        case BoolLit(value):
-            return "True" if value else "False"
-        case Atomic():
-            return _render_atomic(node)
-        case Not(body):
-            return f"Not ( {_render(body, 1, True)} )"
-        case Quant(kind, var, domain, body):
-            text = f"{kind.value} {var} : {render_domain(domain)} . {_render(body, 1, True)}"
-            return text if tail else f"( {text} )"
-        case And(lhs, rhs):
-            wrap = min_level > 3
-            text = f"{_render(lhs, 3, False)} /\\ {_render(rhs, 4, tail or wrap)}"
-            return f"( {text} )" if wrap else text
-        case Or(lhs, rhs):
-            wrap = min_level > 2
-            text = f"{_render(lhs, 2, False)} \\/ {_render(rhs, 3, tail or wrap)}"
-            return f"( {text} )" if wrap else text
-        case Imp(lhs, rhs):
-            wrap = min_level > 1
-            text = f"{_render(lhs, 2, False)} -> {_render(rhs, 1, tail or wrap)}"
-            return f"( {text} )" if wrap else text
-    raise TypeError(f"not an assertion: {node!r}")
+# A connective's level, its text, and the levels of its two sides.
+_BINARY_LEVELS = {And: (3, " /\\ ", 3, 4), Or: (2, " \\/ ", 2, 3), Imp: (1, " -> ", 2, 1)}
 
 
 def _render_atomic(node: Atomic) -> str:

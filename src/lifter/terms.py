@@ -239,6 +239,11 @@ class GoalIndex:
     are interned into first.  The walk goes over ids alone: an App key
     unfolds into the head and arguments of one printed call, and every
     node's id is known on the way down.
+
+    An occurrence the index holds is found by identity, through `by_id`,
+    as TermTable.canonical finds terms.  `positions`, keyed by value, serves
+    any other occurrence, and `end` gives the extent of each subtree of the
+    evaluation scope; each is built the first time it is read.
     """
 
     def __init__(self, goal: Goal):
@@ -273,9 +278,10 @@ class GoalIndex:
                     stack.append((head, path + (0,)))
                 elif key[0] is Lambda:
                     stack.append((key[2], path + (0,)))
+        # id() of an occurrence held here -> its position
+        self.by_id: dict[int, int] = dict(zip(map(id, occs), range(len(occs))))
         self.widest = widest
         self.starts = (*starts, len(occs))
-        self.positions = {occ: i for i, occ in enumerate(occs)}
         # The term domain: distinct terms in first-seen order.
         self.subterms: list[Term] = [self.term_of[tid] for tid in dict.fromkeys(tids)]
 
@@ -286,9 +292,35 @@ class GoalIndex:
         for occ, tid in zip(self.scope, tids):
             self.occs_of.setdefault(tid, []).append(occ)
 
+    @cached_property
+    def end(self) -> list[int]:
+        """By position in the scope, the position just past the node's
+        subtree: a subtree is the interval from a node to its end, a node's
+        next sibling starts at its end, and a head's application sits just
+        before it."""
+        end = [0] * len(self.scope)
+        open_: list[int] = []  # the current node's ancestors, one per depth
+        for i, occ in enumerate(self.scope):
+            while len(open_) > len(occ.path):
+                end[open_.pop()] = i
+            open_.append(i)
+        for i in open_:
+            end[i] = len(self.scope)
+        return end
+
+    @cached_property
+    def positions(self) -> dict[Occurrence, int]:
+        """The preorder position of each occurrence, keyed by value."""
+        return {occ: i for i, occ in enumerate(self.occurrences)}
+
+    def find(self, occurrence: Occurrence) -> int | None:
+        """The preorder position of an occurrence, or None if the goal has none."""
+        i = self.by_id.get(id(occurrence))
+        return self.positions.get(occurrence) if i is None else i
+
     def position(self, occurrence: Occurrence) -> int:
         """The preorder position of an occurrence; IndexError if the goal has none."""
-        i = self.positions.get(occurrence)
+        i = self.find(occurrence)
         if i is None:
             raise IndexError(f"no node at path {occurrence.path} in subgoal {occurrence.subgoal}")
         return i

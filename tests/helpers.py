@@ -228,6 +228,45 @@ def deep_case_text(depth: int) -> str:
     )
 
 
+def _apply_text(head: str, *args: str) -> str:
+    for arg in args:
+        head = f"(app {head} {arg})"
+    return head
+
+
+def spine_case_text(levels: int) -> str:
+    """A case whose one subgoal is `f x0 (f x1 (... (f x9 z))) = g z` at
+    10 levels, with f recursive, and an argument set "const" inducting on
+    the constant f: h3 checks every occurrence of f for f as an argument."""
+    term = '(free "z")'
+    for i in reversed(range(levels)):
+        term = _apply_text('(const "f")', f'(free "x{i}")', term)
+    goal = _apply_text('(const "=")', term, _apply_text('(const "g")', '(free "z")'))
+    return (
+        f'(case "spine"\n  (goal (subgoal {goal}))\n'
+        '  (context (defn "f" (recursive true) (clauses (clause constructor var)))\n'
+        '    (defn "g" (recursive false)))\n'
+        '  (args "const" (on (const "f")) (arbitrary) (rule)))\n'
+    )
+
+
+def map_chain_case_text(levels: int) -> str:
+    """A case whose one subgoal is `map g (map g (... (map g zs)))` with
+    g = %y. f y x, and an argument set "fun" inducting on g with the rule
+    map.induct: h7 looks inside g, free x and all, under every map."""
+    body = _apply_text('(const "f")', "(bound 0)", '(free "x")')
+    fun = f'(abs "y" {body})'
+    term = '(free "zs")'
+    for _ in range(levels):
+        term = _apply_text('(const "map")', fun, term)
+    return (
+        f'(case "maps"\n  (goal (subgoal {term}))\n'
+        '  (context (defn "map" (recursive true) (clauses (clause var constructor)))\n'
+        '    (defn "f" (recursive false)) (rule "map.induct" (derived-from "map")))\n'
+        f'  (args "fun" (on {fun}) (arbitrary) (rule "map.induct")))\n'
+    )
+
+
 @st.composite
 def case_texts(draw) -> str:
     """The rendered text of a random case: quoted names may hold any

@@ -353,3 +353,20 @@ class TestModuleEntry:
         assert (proc.returncode, proc.stdout) == (2, "")
         message = "parentheses and quantifiers nest deeper than 100 levels"
         assert proc.stderr == f"lifter: {heuristic}: 1:101: {message}\n"
+
+
+class TestInternalError:
+    """Any exception other than a lifter error or an OSError is a fault in
+    lifter: exit code 3, one line on stderr, no traceback."""
+
+    def test_unexpected_exception_exits_three(self, capsys, monkeypatch):
+        def fail(*args):
+            raise RuntimeError("no verdict\nhere")
+
+        monkeypatch.setattr(lifter.cli, "evaluate", fail)
+        code = main(["assert", "--case", case_path("itrev"), "--args", "model",
+                     "--heuristic", heuristic_path("h1_no_constant")])
+        out, err = capsys.readouterr()
+        assert code == lifter.cli.INTERNAL_ERROR == 3
+        assert out == ""
+        assert err == "lifter: internal error: RuntimeError('no verdict\\nhere')\n"

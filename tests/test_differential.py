@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_interp as oracle
-from lifter.ingest import parse_term_sexp, render_term_sexp
+from lifter.ingest import parse_case_file, parse_term_sexp, render_term_sexp
 from lifter.interp import Evaluator, evaluate, find_witnesses
 from lifter.lang import (
     AllNumbers,
@@ -332,6 +332,95 @@ def hoist_shape(rng: random.Random):
     return quantify(prefix, beside(rng, env, core))
 
 
+OCCURRENCE_GUARDS = ["argument", "nth", "implied", "subtree", "of_term", "swapped"]
+OCCURRENCE_PLACES = ["direct"] * 3 + ["antecedent"] * 2 + ["not", "or", "exists_imp", "forall_and"]
+
+
+def occurrence_guard_shape(rng: random.Random):
+    """Q x : D . ... with an occurrence guard on x among its conjuncts (rule
+    O): x is_an_argument_of h, is_nth_argument_of (x, m, h) with m bound
+    outside, EX n . ... /\\ is_nth_argument_of (x, n, h) /\\ ...,
+    x is_in_term_occurrence h or x term_occurrence_is_of_term u; or one
+    with x and h swapped, which pins nothing.  D is term_occurrence or
+    term_occurrence IN t.  The guard stands as a direct conjunct of an EX,
+    as an antecedent of ALL ... ->, under Not or Or, in an EX over an
+    implication, or in an ALL without one; only the first two narrow.  h
+    may be x itself, shadowed by x.
+    Some shapes are one EX chain down to x, so that find_witnesses reports
+    the occurrence the narrowed domain gave."""
+    prefix, env = [], {}
+    place = rng.choice(OCCURRENCE_PLACES)
+    chain = place in ("direct", "not", "or") and rng.random() < 0.5
+
+    def kind():
+        return QuantKind.EXISTS if chain else rng.choice(KINDS)
+
+    def bind(var, domain):
+        prefix.append((kind(), var, domain))
+        env[var] = domain_sort(domain)
+
+    h, x = rng.sample(NAMES, 2)
+    if rng.random() < 0.2:
+        x = h
+    domains = [AllOccs()]
+    if rng.random() < 0.6:
+        bind("t0", rng.choice([AllTerms(), AllTerms(), TermsIn(Modifier.INDUCTION)]))
+        domains.append(OccsOf("t0"))
+    bind(h, rng.choice(domains))
+    domain = rng.choice(domains)
+    guard_kind = rng.choice(OCCURRENCE_GUARDS)
+    if guard_kind == "nth":
+        bind("m0", AllNumbers())
+    elif guard_kind == "of_term":
+        bind("u0", AllTerms())
+    inner = {**env, x: Sort.OCCURRENCE}
+    # Formulas whose value depends on which occurrence x is.
+    pins = [Atomic(AtomicName.IS_FREE_VARIABLE, (x,)), Atomic(AtomicName.IS_ATOMIC, (x,)),
+            Atomic(AtomicName.IS_AT_DEEPEST, (x,)), Atomic(AtomicName.IS_IN_TERM_OCCURRENCE, (x, h))]
+    if "t0" in env:
+        pins.append(Atomic(AtomicName.TERM_OCCURRENCE_IS_OF_TERM, (x, "t0")))
+    if guard_kind == "argument":
+        guard = Atomic(AtomicName.IS_AN_ARGUMENT_OF, (x, h))
+    elif guard_kind == "nth":
+        guard = Atomic(AtomicName.IS_NTH_ARGUMENT_OF, (x, "m0", h))
+    elif guard_kind == "subtree":
+        guard = Atomic(AtomicName.IS_IN_TERM_OCCURRENCE, (x, h))
+    elif guard_kind == "of_term":
+        guard = Atomic(AtomicName.TERM_OCCURRENCE_IS_OF_TERM, (x, "u0"))
+    elif guard_kind == "swapped":
+        guard = rng.choice([Atomic(AtomicName.IS_AN_ARGUMENT_OF, (h, x)),
+                            Atomic(AtomicName.IS_IN_TERM_OCCURRENCE, (h, x))])
+    else:
+        # The number may shadow x, so that the guard pins nothing.
+        n = rng.choice(["n0", "n0", x]) if h != x else "n0"
+        numbered = {**inner, n: Sort.NUMBER}
+        parts = [Atomic(AtomicName.IS_NTH_ARGUMENT_OF, (x if n != x else h, n, h))]
+        parts.append(rng.choice([Atomic(AtomicName.PATTERN_IS, (n, h, rng.choice(list(Pattern)))),
+                                 small(rng, numbered), BoolLit(True)]))
+        rng.shuffle(parts)
+        guard = Quant(QuantKind.EXISTS, n, AllNumbers(), and_tree(rng, parts))
+    if place == "not":
+        guard = Not(guard)
+    elif place == "or":
+        other = rng.choice([small(rng, inner), BoolLit(True), rng.choice(pins)])
+        guard = Or(guard, other) if rng.random() < 0.5 else Or(other, guard)
+    conjuncts = [guard, *(small(rng, inner) for _ in range(rng.randint(0, 1)))]
+    if rng.random() < 0.6:
+        conjuncts.append(rng.choice(pins))
+    rng.shuffle(conjuncts)
+    body = and_tree(rng, conjuncts)
+    if place == "antecedent":
+        x_kind, body = QuantKind.FORALL, Imp(body, small(rng, inner))
+    elif place == "exists_imp":
+        x_kind, body = QuantKind.EXISTS, Imp(body, small(rng, inner))
+    elif place == "forall_and":
+        x_kind = QuantKind.FORALL
+    else:
+        x_kind = kind()
+    core = Quant(x_kind, x, domain, body)
+    return quantify(prefix, core if chain else beside(rng, env, core))
+
+
 @given(scenarios(), st.lists(st.integers(0, 2**48), min_size=4, max_size=4))
 @settings(max_examples=200, deadline=None)
 def test_rewrite_shapes_match_oracle(scenario, seeds):
@@ -339,7 +428,8 @@ def test_rewrite_shapes_match_oracle(scenario, seeds):
     evaluator = Evaluator(goal, context, args)
     for seed in seeds:
         rng = random.Random(seed)
-        assertion = sort_check(rng.choice([guard_shape, hoist_shape])(rng))
+        shape = rng.choice([guard_shape, hoist_shape, occurrence_guard_shape])
+        assertion = sort_check(shape(rng))
         if steps_bound(assertion, evaluator) <= MAX_STEPS:
             assert_agrees(assertion, goal, context, args)
 
@@ -366,4 +456,71 @@ def test_number_guards_on_corpus_match_oracle(corpus_pairs):
     for text in GUARD_TEXTS:
         assertion = sort_check(parse_assertion(text))
         for case, _, args in corpus_pairs:
+            assert_agrees(assertion, case.goal, case.context, args)
+
+
+# Rule O on the corpus goals and the shipped heuristics' shapes, and the
+# same guards where they must narrow nothing.
+OCCURRENCE_GUARD_TEXTS = [
+    "EX h : term_occurrence . EX x : term_occurrence . x is_an_argument_of h /\\ is_free_variable x",
+    "EX t : term . EX h : term_occurrence . EX x : term_occurrence IN t : term ."
+    " is_recursive_constant h /\\ x is_an_argument_of h",
+    "EX h : term_occurrence . EX m : number . EX x : term_occurrence ."
+    " is_atomic x /\\ is_nth_argument_of ( x , m , h )",
+    "EX t : term IN induction_term . EX h : term_occurrence . EX x : term_occurrence IN t : term ."
+    " ( EX n : number . is_nth_argument_of ( x , n , h ) /\\ t is_nth_induction_term n )",
+    "EX h : term_occurrence . EX x : term_occurrence ."
+    " ( EX n : number . pattern_is ( n , h , all_constructor ) /\\ is_nth_argument_of ( x , n , h ) )"
+    " /\\ is_free_variable x",
+    "EX h : term_occurrence . ALL x : term_occurrence ."
+    " is_free_variable x /\\ x is_in_term_occurrence h -> is_at_deepest x",
+    "EX t : term . EX h : term_occurrence . EX x : term_occurrence IN t : term ."
+    " x is_in_term_occurrence h /\\ Not ( is_atomic h ) /\\ is_atomic x",
+    "ALL h : term_occurrence . ALL x : term_occurrence . x is_an_argument_of h -> Not ( is_lambda x )",
+    "EX u : term . EX x : term_occurrence . x term_occurrence_is_of_term u /\\ is_at_deepest x",
+    "EX t : term . EX u : term . EX x : term_occurrence IN t : term ."
+    " x term_occurrence_is_of_term u /\\ Not ( are_same_term ( t , u ) )",
+    "EX t : term . EX u : term . ALL x : term_occurrence IN t : term ."
+    " x term_occurrence_is_of_term u -> is_lambda x",
+    # Nothing to narrow: under Not or Or, an EX over ->, an ALL without ->,
+    # the roles swapped, or the guard's other variable shadowed by x.
+    "EX h : term_occurrence . EX x : term_occurrence . Not ( x is_an_argument_of h ) /\\ is_atomic x",
+    "EX u : term . EX x : term_occurrence . Not ( x term_occurrence_is_of_term u ) /\\ is_constant x",
+    "EX h : term_occurrence . EX x : term_occurrence . ( x is_an_argument_of h \\/ is_constant x )"
+    " /\\ is_constant x",
+    "EX h : term_occurrence . EX x : term_occurrence . x is_an_argument_of h /\\ is_lambda x -> False",
+    "EX h : term_occurrence . ALL x : term_occurrence . x is_in_term_occurrence h /\\ is_atomic x",
+    "EX h : term_occurrence . EX x : term_occurrence . h is_an_argument_of x /\\ is_constant x",
+    "EX h : term_occurrence . EX h : term_occurrence . h is_in_term_occurrence h /\\ is_free_variable h",
+    "EX m : number . EX x : term_occurrence ."
+    " ( EX y : term_occurrence . is_nth_argument_of ( x , m , y ) ) /\\ is_free_variable x",
+    # Two guards that walk the term's occurrences, not the candidates, on
+    # the goal below: v occurs fewer times than h has arguments, and a once
+    # where (g v w) has three nodes.  The first v sits deeper than h's
+    # arguments, and a comes after (g v w).
+    "EX t : term . EX h : term_occurrence . EX x : term_occurrence IN t : term ."
+    " x is_an_argument_of h /\\ is_free_variable x",
+    "EX o : term_occurrence . Not ( is_atomic o ) /\\ ( EX t : term ."
+    " ( EX y : term_occurrence IN t : term . is_free_variable y )"
+    " /\\ ( ALL x : term_occurrence IN t : term . x is_in_term_occurrence o -> False ) )",
+]
+
+# h (g v w) a b c v (k x y z) u
+SIDES_CASE = """
+(case "sides"
+  (goal (subgoal
+    (app (app (app (app (app (app (app (const "h") (app (app (const "g") (free "v")) (free "w")))
+      (free "a")) (free "b")) (free "c")) (free "v"))
+      (app (app (app (const "k") (free "x")) (free "y")) (free "z"))) (free "u"))))
+  (context (defn "h" (recursive true)))
+  (args "v" (on (free "v")) (arbitrary) (rule)))
+"""
+
+
+def test_occurrence_guards_on_corpus_match_oracle(corpus_pairs):
+    sides = parse_case_file(SIDES_CASE)
+    pairs = [*corpus_pairs, (sides, "v", sides.arg_sets["v"])]
+    for text in OCCURRENCE_GUARD_TEXTS:
+        assertion = sort_check(parse_assertion(text))
+        for case, _, args in pairs:
             assert_agrees(assertion, case.goal, case.context, args)

@@ -23,6 +23,7 @@ from lifter.terms import (
     Goal,
     InductArgs,
     Lambda,
+    Occurrence,
     ParamPattern,
     RuleRecord,
     Schematic,
@@ -93,6 +94,24 @@ class TestLargeGoals:
         args = InductArgs((deep.subgoals[0],), (twin.subgoals[0],), ())
         # h6a: an arbitrary term equal to an induction term fails it.
         assert not evaluate(stdlib_set.get("h6a_arbitrary_not_induction"), goal, context, args)
+
+
+class TestPositions:
+    """The index finds each of its occurrences by identity and any equal
+    one by value, and `end` bounds each subtree of the scope."""
+
+    @given(st.lists(terms_strategy(), min_size=1, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_subtree_ends_and_lookups(self, subgoals):
+        index = Goal(tuple(subgoals)).index
+        for i, occ in enumerate(index.scope):
+            depth = len(occ.path)
+            inside = [j for j, o in enumerate(index.scope) if o.path[:depth] == occ.path]
+            assert inside == list(range(i, index.end[i]))
+        for i, occ in enumerate(index.occurrences):
+            assert index.find(occ) == i == index.find(Occurrence(occ.subgoal, occ.path))
+        assert index.find(Occurrence(0, (99,))) is None
+        assert index.find(Occurrence(len(subgoals), ())) is None
 
 
 class TestIndexSharing:

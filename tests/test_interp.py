@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lifter.ingest import parse_case_file
 from lifter.interp import Evaluator, classify_clause_params, evaluate, find_witnesses
 from lifter.lang import (
     AllRules,
@@ -42,7 +43,13 @@ from lifter.terms import (
     Schematic,
 )
 
-from helpers import desugar_occurrence_quants, random_closed_quant, term_at
+from helpers import (
+    desugar_occurrence_quants,
+    map_chain_case_text,
+    random_closed_quant,
+    spine_case_text,
+    term_at,
+)
 
 NO_ARGS = InductArgs()
 EMPTY_CONTEXT = Context({}, {})
@@ -87,6 +94,13 @@ class TestDomains:
         assert list(e.domain_values(AllRules(), {})) == ["itrev.induct"]
         e2, _ = ev(itrev_case, "model")
         assert list(e2.domain_values(AllRules(), {})) == []
+
+    def test_unknown_domain_or_atomic_is_a_type_error(self, itrev_case):
+        e, _ = ev(itrev_case, "model")
+        with pytest.raises(TypeError, match="not a domain"):
+            e.domain_values("term", {})
+        with pytest.raises(TypeError, match="not an atomic"):
+            e.atomic("is_constant", (e.occurrences[0],))
 
 
 class TestVacuity:
@@ -524,6 +538,37 @@ class TestTraceHooks:
         witnesses = e.witnesses(heuristic("h3_same_recursive_occurrence", stdlib_set))
         assert [var for var, _ in witnesses] == ["t1", "to1"]
         assert counts["atomic"] > 0 and counts["items"] > 0
+
+
+class TestWorkCounts:
+    """With rule O, an occurrence quantifier guarded by an outer occurrence
+    walks only the guard's candidates, so the domain items a traced run
+    counts grow about as fast as the goal.  A full scan would make h3 on a
+    constant that occurs at every level visit all of its occurrences under
+    each occurrence, about 4x the count per doubling.  These are counts,
+    not times."""
+
+    @staticmethod
+    def items(text, args_id, name, stdlib_set):
+        case = parse_case_file(text)
+        e, _ = ev(case, args_id)
+        counts = TestTraceHooks.counted(e)
+        assert not e.run(heuristic(name, stdlib_set))
+        return counts["items"], len(e.occurrences)
+
+    @pytest.mark.parametrize(
+        "case_text, args_id, name",
+        [
+            (spine_case_text, "const", "h3_same_recursive_occurrence"),
+            (map_chain_case_text, "fun", "h7_rule_args_generalized"),
+        ],
+        ids=["h3-spine-const", "h7-maps-to3"],
+    )
+    def test_items_grow_linearly(self, case_text, args_id, name, stdlib_set):
+        small, small_goal = self.items(case_text(60), args_id, name, stdlib_set)
+        large, large_goal = self.items(case_text(120), args_id, name, stdlib_set)
+        assert large_goal <= 2 * small_goal
+        assert large <= 2.2 * small
 
 
 class TestDeepChains:

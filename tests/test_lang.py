@@ -33,6 +33,7 @@ from lifter.lang import (
     render_assertion,
     sort_check,
 )
+from lifter.interp import compile_assertion
 
 from helpers import random_assertion
 
@@ -278,3 +279,25 @@ class TestDeepInput:
         with pytest.raises(ParseError) as info:
             parse_assertion(text)
         assert (info.value.line, info.value.col) == (2, 3)
+
+    # Three trees far past Python's default recursion limit, and their
+    # canonical text; each ends in a quantifier, whose `pos` is not compared.
+    LEAF = "EX x : term . True"
+    DEEP_TREES = {
+        "and": ("True /\\ " * 2000 + LEAF, "True /\\ " * 2000 + LEAF),
+        "imp": ("True -> " * 2000 + LEAF, "True -> " * 2000 + LEAF),
+        "not": ("Not " * 5000 + LEAF, "Not ( " * 5000 + LEAF + " )" * 5000),
+    }
+
+    @pytest.mark.parametrize("shape", ["and", "imp", "not"])
+    def test_deep_trees_render_compare_and_hash(self, shape):
+        # render_assertion, == and hash() used to recurse once per level and
+        # raise RecursionError on each of these.
+        text, rendered = self.DEEP_TREES[shape]
+        a = parse_assertion(text)
+        b = parse_assertion("\n  " + text)  # the same tree; the leaf's pos differs
+        compile_assertion(a)  # caches a program on a, which == and hash() ignore
+        assert render_assertion(a) == rendered
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert a != parse_assertion(text.replace(self.LEAF, "EX x : rule . True"))
