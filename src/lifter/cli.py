@@ -159,10 +159,7 @@ def main(argv: list[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         return ns.func(ns)
-    except LifterError as exc:
-        print(f"lifter: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (LifterError, OSError) as exc:
         print(f"lifter: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -38,45 +38,42 @@ it.  Chains of Not fold to one negation or none, and chains of And, Or and
 link.  Compiled code still calls `Evaluator.atomic` and
 `Evaluator.domain_values` through the evaluator, so wrapping those two
 attributes on one evaluator counts every atomic call and every domain it
-makes, narrowed domains included: a quantifier narrowed by rule (O) below
-asks `domain_values` for a compiler-internal domain object, which stands
-for the narrowed candidates and gets the slot list in place of bindings.
-A guard that a rewrite drops is never called: rule (N) decides its guard
-through `Evaluator._argument_index`, and rule (O) through the index, so
-such counts leave those guards out.
+makes, narrowed domains included: a quantifier narrowed by rule (N, O)
+below, or one over term_occurrence IN t, asks `domain_values` for a
+compiler-internal domain object, which gets the slot list in place of
+bindings.  A guard that the rule drops is never called: the narrowed
+domain decides it through the index or `Evaluator._argument_index`, so
+such counts leave it out.
 
-Three rewrites narrow quantifiers while compiling.  All are exact, because
+Two rewrites narrow quantifiers while compiling.  Both are exact, because
 every atomic is total and has no side effects, so neither the order nor
 the number of times a subformula runs can change its value:
 
-  (N) number guard.  In EX n : number . C1 /\\ ... /\\ Ck, where one
-      conjunct Ci is is_nth_argument_of (o, n, h) with o and h bound
-      outside the quantifier, Ci holds for at most one number: o's
-      argument slot k under h.  The body is tested once with n = k, and
-      the quantifier is False when o is no argument of h or k lies past
-      the number domain.  Dually, ALL n : number . C1 /\\ ... /\\ Ck -> C
-      tests the implication at n = k only, since Ci is false at every
-      other number, and holds when there is no such k.  A guard under Not
-      or Or pins nothing, so only direct conjuncts count.
-  (O) occurrence guard.  In EX x : D . C1 /\\ ... /\\ Ck, or dually in
-      ALL x : D . C1 /\\ ... /\\ Ck -> C, where D is term_occurrence or
-      term_occurrence IN t, one conjunct Ci may pin x relative to an
-      occurrence h or o, a number n or a term u bound outside the quantifier:
-        x is_an_argument_of h             x ranges over h's arguments
+  (N, O) guard.  In EX x : D . C1 /\\ ... /\\ Ck, or dually in
+      ALL x : D . C1 /\\ ... /\\ Ck -> C, one conjunct Ci may pin x
+      relative to an occurrence h or o, a number n or a term u bound
+      outside the quantifier.  One table finds the guard by its atomic
+      and the argument x fills; (N) is the row for a number x, (O) the
+      rows for an occurrence x, where D is term_occurrence or
+      term_occurrence IN t:
+        is_nth_argument_of (o, x, h)      x ranges over o's argument slot
+                                          under h, if any
+        x is_an_argument_of h             over h's arguments
         is_nth_argument_of (x, n, h)      over h's argument n, if any
         EX y : D' . ... /\\ is_nth_argument_of (x, n, h) /\\ ...
                                           over h's arguments, for any y, n
         x is_in_term_occurrence o         over the nodes of o's subtree
         x term_occurrence_is_of_term u    over the occurrences of u
-      Then x ranges only over those candidates that are also in D, in
-      preorder, which is D's own order, so the first satisfying value and
-      every witness stay the same.  An atomic guard holds exactly on its
-      candidates and is dropped; the EX guard stays, since its body says
-      more.  The shorter side is walked: the candidates, each tested for
-      t, or t's occurrences, each tested against the guard, both tests
-      O(1) on the index.  As in (N), only direct conjuncts count, never one
-      under Not or Or, nor an EX over an implication; a guard whose other
-      variable is x itself, or is shadowed by x, pins nothing.
+      Then x ranges only over those candidates that are also in D, in D's
+      own order, so the first satisfying value and every witness stay the
+      same; a slot past the number domain is no candidate.  An atomic
+      guard holds exactly on its candidates and is dropped; the EX guard
+      stays, since its body says more.  For an occurrence the shorter side
+      is walked: the candidates, each tested for t, or t's occurrences,
+      each tested against the guard, both tests O(1) on the index.  Only
+      direct conjuncts count, never one under Not or Or, nor an EX over an
+      implication; a guard whose other variable is x itself, or is
+      shadowed by x, pins nothing.
   (H) hoisting.  EX x : D . A /\\ B  is  A /\\ EX x : D . B, and
       ALL x : D . (A /\\ B) -> C  is  A -> ALL x : D . (B -> C), whenever x
       is not free in A, wherever A stands among the conjuncts.  Such an A
@@ -213,13 +210,13 @@ class Evaluator:
 
     def domain_values(self, domain, env):
         """The values of a domain.  env maps the term variable of an OccsOf
-        domain to its term; a narrowed domain of rule (O) reads its
+        domain to its term; a domain the compiler made (`_Guarded`) reads its
         variables from env as the slot list, and any other ignores env."""
         match domain:
-            case OccsOf(term_var):
-                return self.index.occs_of.get(self._term_id(env[term_var]), [])
             case _Guarded():
                 return self._guarded(domain, env)
+            case OccsOf(term_var):
+                return self.index.occs_of.get(self._term_id(env[term_var]), [])
             case AllNumbers():
                 return self.numbers
             case AllRules():
@@ -234,17 +231,23 @@ class Evaluator:
                 return self.args.arbitrary_terms
         raise TypeError(f"not a domain: {domain!r}")
 
-    def _guarded(self, domain: _Guarded, env: list) -> list[Occurrence]:
-        """The occurrences of a narrowed domain, in preorder.  Whichever side
-        is shorter is walked: the guard's candidates, each tested for the
-        term, or the term's occurrences, each tested against the guard."""
-        index, kind = self.index, domain.kind
+    def _guarded(self, domain: _Guarded, env: list) -> list:
+        """The values of a compiler-made domain, in the declared domain's
+        order.  For an occurrence guard, whichever side is shorter is
+        walked: the guard's candidates, each tested for the term, or the
+        term's occurrences, each tested against the guard."""
+        kind, slots, index = domain.kind, domain.slots, self.index
+        if kind is None:
+            return index.occs_of.get(self._term_id(env[domain.term]), [])
+        if kind == _SLOT:
+            n = self._argument_index(env[slots[0]], env[slots[1]])
+            return [] if n is None or n > self.max_number else [n]
         tid = None if domain.term is None else self._term_id(env[domain.term])
         if kind == _OF_TERM:
-            own = self._term_id(env[domain.anchor])
+            own = self._term_id(env[slots[0]])
             return index.occs_of.get(own, []) if tid is None or tid == own else []
         occs, end, at = index.occurrences, index.end, index.by_id
-        a = at[id(env[domain.anchor])]  # a scope occurrence: no other is bound
+        a = at[id(env[slots[-1]])]  # a scope occurrence: no other is bound
         pool = self.occurrences if tid is None else index.occs_of.get(tid, [])
         # The guard admits the positions from lo up to stop, at depth if given.
         if kind == _SUBTREE:
@@ -257,7 +260,7 @@ class Evaluator:
             lo, stop, depth = a + 1, end[a - 1], len(path)
             found, s = [], end[a]  # s: the first argument
             if kind == _NTH:
-                n = env[domain.number]
+                n = env[slots[0]]
                 while n and s < stop:
                     s, n = end[s], n - 1
                 found = [s] if s < stop else []
@@ -455,19 +458,10 @@ class _Compiler:
             conjuncts, consequent = _operands(node.body, And), None
         else:
             conjuncts, consequent = _implication_parts(node.body)
-        domain, term_slot = node.domain, None
-        if isinstance(domain, OccsOf):
-            term_slot = scope[domain.term_var]
-        guard = _number_guard(node, conjuncts, inner)
-        if guard is not None:
-            arg, _, head = (inner[v] for v in conjuncts[guard].args)
-            conjuncts = conjuncts[:guard] + conjuncts[guard + 1:]
-        elif isinstance(domain, (AllOccs, OccsOf)):
-            narrowing = _occurrence_guard(slot, conjuncts, inner, term_slot)
-            if narrowing is not None:
-                where, domain, exact = narrowing
-                if exact:
-                    conjuncts = conjuncts[:where] + conjuncts[where + 1:]
+        term = scope[node.domain.term_var] if isinstance(node.domain, OccsOf) else None
+        where, domain = _domain(slot, node.domain, term, conjuncts, inner)
+        if where is not None:
+            conjuncts = conjuncts[:where] + conjuncts[where + 1:]
         compiled = [self.compile(c, inner, depth + 1) for c in conjuncts]
         reads = frozenset().union(*(r for _, r in compiled))
         hoisted = [t for t, r in compiled if slot not in r]
@@ -480,14 +474,9 @@ class _Compiler:
             reads |= then_reads
         pre = _connective(hoisted, False) if hoisted else None
         reads -= {slot}
-        if guard is not None:
-            return _narrowed(found, slot, arg, head, pre, each), reads | {arg, head}
         if isinstance(domain, _Guarded):
-            reads |= {domain.anchor, domain.number, term_slot} - {None}
-            term_slot = None  # the narrowed domain reads the slot list itself
-        elif term_slot is not None:
-            reads |= {term_slot}
-        return _scan(found, domain, term_slot, slot, pre, each), reads
+            reads |= {*domain.slots, domain.term} - {None}
+        return _scan(found, domain, slot, pre, each), reads
 
 
 def _operands(node: Assertion, op: type) -> list[Assertion]:
@@ -511,69 +500,57 @@ def _implication_parts(node: Assertion) -> tuple[list[Assertion], Assertion]:
     return antecedents, node
 
 
-def _number_guard(node: Quant, conjuncts: list[Assertion], scope: dict[str, int]) -> int | None:
-    """Where in conjuncts an `is_nth_argument_of (o, n, h)` pins the number n
-    that node binds, with o and h bound outside it; None if none does."""
-    if not isinstance(node.domain, AllNumbers):
-        return None
-    slot = scope[node.var]
-    for i, c in enumerate(conjuncts):
-        if isinstance(c, Atomic) and c.name is AtomicName.IS_NTH_ARGUMENT_OF:
-            arg, n, head = (scope.get(v) for v in c.args)
-            if n == slot and slot not in (arg, head):
-                return i
-    return None
-
-
-# The guards of rule (O), by the candidates each admits.
-_ARGUMENTS, _NTH, _SUBTREE, _OF_TERM = "arguments", "nth", "subtree", "of term"
+# The rows of rule (N, O): a guard atomic and the argument x fills in it,
+# by the candidates each admits; a number only for _SLOT, else an occurrence.
+_SLOT, _ARGUMENTS, _NTH, _SUBTREE, _OF_TERM = "slot", "arguments", "nth", "subtree", "of term"
+_GUARDS = {
+    (AtomicName.IS_NTH_ARGUMENT_OF, 1): _SLOT,
+    (AtomicName.IS_AN_ARGUMENT_OF, 0): _ARGUMENTS,
+    (AtomicName.IS_NTH_ARGUMENT_OF, 0): _NTH,
+    (AtomicName.IS_IN_TERM_OCCURRENCE, 0): _SUBTREE,
+    (AtomicName.TERM_OCCURRENCE_IS_OF_TERM, 0): _OF_TERM,
+}
 
 
 class _Guarded:
-    """An occurrence domain narrowed by rule (O): the occurrences of the
-    declared domain, every scope occurrence or, when `term` is a slot, those
-    of the term there, that the guard admits relative to the occurrence in
-    slot `anchor`: its arguments, its argument number env[number], or the
-    nodes of its subtree; or the occurrences of the term in slot `anchor`."""
+    """A domain the compiler made, read from the slot list: the values of
+    the declared domain that a guard of `kind` admits relative to the
+    values in `slots`, the guard's other arguments in order (o and h for
+    o's argument slot under h, n and h for h's argument n, else the one
+    anchor).  `term`, if a slot, holds t of term_occurrence IN t; with no
+    guard (kind None) the domain is t's occurrences."""
 
-    __slots__ = ("kind", "anchor", "number", "term")
+    __slots__ = ("kind", "slots", "term")
 
-    def __init__(self, kind: str, anchor: int, number: int | None, term: int | None):
-        self.kind, self.anchor, self.number, self.term = kind, anchor, number, term
-
-
-def _occurrence_guard(
-    slot: int, conjuncts: list[Assertion], scope: dict[str, int], term: int | None
-) -> tuple[int, _Guarded, bool] | None:
-    """Rule (O): the first conjunct that pins the occurrence bound at slot
-    relative to occurrences and numbers bound outside it, as (where, the
-    narrowed domain, whether the guard holds exactly on that domain, so that
-    the conjunct can go); None if no conjunct does."""
-    for i, c in enumerate(conjuncts):
-        if isinstance(c, Atomic) and c.name in _GUARDS:
-            slots = [scope[v] for v in c.args]
-            if slots[0] == slot and max(slots[1:]) < slot:
-                kind = _GUARDS[c.name]
-                number = slots[1] if kind == _NTH else None
-                return i, _Guarded(kind, slots[-1], number, term), True
-        elif isinstance(c, Quant) and c.kind is QuantKind.EXISTS:
-            # EX n . ... /\ is_nth_argument_of (x, n, h) /\ ... holds only
-            # where x is an argument of h, whatever n is; the conjunct stays.
-            inner = {**scope, c.var: slot + 1}
-            for a in _operands(c.body, And):
-                if isinstance(a, Atomic) and a.name is AtomicName.IS_NTH_ARGUMENT_OF:
-                    arg, _, head = (inner[v] for v in a.args)
-                    if arg == slot and head < slot:
-                        return i, _Guarded(_ARGUMENTS, head, None, term), False
-    return None
+    def __init__(self, kind: str | None, slots: tuple[int, ...], term: int | None):
+        self.kind, self.slots, self.term = kind, slots, term
 
 
-_GUARDS = {
-    AtomicName.IS_AN_ARGUMENT_OF: _ARGUMENTS,
-    AtomicName.IS_NTH_ARGUMENT_OF: _NTH,
-    AtomicName.IS_IN_TERM_OCCURRENCE: _SUBTREE,
-    AtomicName.TERM_OCCURRENCE_IS_OF_TERM: _OF_TERM,
-}
+def _domain(
+    slot: int, declared, term: int | None, conjuncts: list[Assertion], scope: dict[str, int]
+) -> tuple[int | None, object]:
+    """Rule (N, O) for the quantifier binding slot over the declared domain,
+    with term the slot of t in term_occurrence IN t: where in conjuncts the
+    guard to drop stands (None if none), and the domain to scan."""
+    number = isinstance(declared, AllNumbers)
+    if number or term is not None or isinstance(declared, AllOccs):
+        for i, c in enumerate(conjuncts):
+            if isinstance(c, Atomic):
+                slots = [scope.get(v) for v in c.args]
+                if slots.count(slot) == 1:
+                    kind = _GUARDS.get((c.name, slots.index(slot)))
+                    if kind is not None and (kind == _SLOT) is number:
+                        return i, _Guarded(kind, tuple(s for s in slots if s != slot), term)
+            elif isinstance(c, Quant) and c.kind is QuantKind.EXISTS and not number:
+                # EX n . ... /\ is_nth_argument_of (x, n, h) /\ ... holds only
+                # where x is an argument of h, whatever n is; the conjunct stays.
+                inner = {**scope, c.var: slot + 1}
+                for a in _operands(c.body, And):
+                    if isinstance(a, Atomic) and a.name is AtomicName.IS_NTH_ARGUMENT_OF:
+                        arg, _, head = (inner[v] for v in a.args)
+                        if arg == slot and head < slot:
+                            return None, _Guarded(_ARGUMENTS, (head,), term)
+    return None, declared if term is None else _Guarded(None, (), term)
 
 
 def _constant(value: bool) -> Test:
@@ -628,22 +605,17 @@ def _atomic(name: AtomicName, args: tuple, scope: dict[str, int]) -> tuple[Test,
     return atomic, frozenset(slots)
 
 
-def _scan(
-    found: bool, domain, term_slot: int | None, slot: int, pre: Test | None, each: Test | None
-) -> Test:
-    """EX (found is True) or ALL (found is False) over a domain.
+def _scan(found: bool, domain, slot: int, pre: Test | None, each: Test | None) -> Test:
+    """EX (found is True) or ALL (found is False) over a domain, whose
+    values `Evaluator.domain_values` gives for the slot list.
 
     pre, if any, is the hoisted part, which does not read the slot; each,
     if any, is the rest, read for every value.  An empty domain or a false
-    hoisted part gives `not found` before anything else runs.  An OccsOf
-    domain gets its term variable's binding; any other gets the slot list.
+    hoisted part gives `not found` before anything else runs.
     """
 
     def scan(ev, env):
-        if term_slot is not None:
-            values = ev.domain_values(domain, {domain.term_var: env[term_slot]})
-        else:
-            values = ev.domain_values(domain, env)
+        values = ev.domain_values(domain, env)
         if not values or (pre is not None and not pre(ev, env)):
             return not found
         if each is None:  # EX whose whole body was hoisted
@@ -656,21 +628,3 @@ def _scan(
         return not found
 
     return scan
-
-
-def _narrowed(
-    found: bool, slot: int, arg: int, head: int, pre: Test | None, each: Test | None
-) -> Test:
-    """EX or ALL n : number under an is_nth_argument_of (o, n, h) guard:
-    the only number the guard admits is o's argument slot under h.  The slot
-    comes from Evaluator._argument_index, so a wrapped atomic does not see
-    the guard."""
-
-    def narrowed(ev, env):
-        n = ev._argument_index(env[arg], env[head])
-        if n is None or n > ev.max_number or (pre is not None and not pre(ev, env)):
-            return not found
-        env[slot] = n
-        return True if each is None else each(ev, env)
-
-    return narrowed

@@ -318,13 +318,6 @@ class GoalIndex:
         i = self.by_id.get(id(occurrence))
         return self.positions.get(occurrence) if i is None else i
 
-    def position(self, occurrence: Occurrence) -> int:
-        """The preorder position of an occurrence; IndexError if the goal has none."""
-        i = self.find(occurrence)
-        if i is None:
-            raise IndexError(f"no node at path {occurrence.path} in subgoal {occurrence.subgoal}")
-        return i
-
 
 def enumerate_occurrences(goal: Goal, subgoal: int) -> list[tuple[Occurrence, Term]]:
     """Every node of the subgoal, depth-first, head before arguments.

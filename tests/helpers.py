@@ -56,7 +56,10 @@ from lifter.terms import (
 def term_at(goal: Goal, occurrence: Occurrence) -> Term:
     """The term an occurrence denotes, read from the goal's index."""
     index = goal.index
-    return index.term_of[index.term_ids[index.position(occurrence)]]
+    i = index.find(occurrence)
+    if i is None:
+        raise IndexError(f"no node at path {occurrence.path} in subgoal {occurrence.subgoal}")
+    return index.term_of[index.term_ids[i]]
 
 
 def depth_of(occurrence: Occurrence) -> int:

@@ -459,6 +459,30 @@ def test_number_guards_on_corpus_match_oracle(corpus_pairs):
             assert_agrees(assertion, case.goal, case.context, args)
 
 
+# f x x x x x with f free: 3 distinct terms and no constant head, so the
+# number domain is 0..3 while the last x fills argument slot 4.  No number
+# names that slot, so a narrowed n must not range past the domain.
+FREE_HEAD_CASE = """
+(case "free-head"
+  (goal (subgoal
+    (app (app (app (app (app (free "f") (free "x")) (free "x")) (free "x")) (free "x")) (free "x"))))
+  (context)
+  (args "x" (on (free "x")) (arbitrary) (rule)))
+"""
+
+
+def test_number_guard_stays_inside_the_number_domain():
+    case = parse_case_file(FREE_HEAD_CASE)
+    args = case.arg_sets["x"]
+    assert Evaluator(case.goal, case.context, args).max_number == 3
+    assertion = sort_check(parse_assertion(
+        "EX h : term_occurrence . EX o : term_occurrence . o is_an_argument_of h"
+        " /\\ Not ( EX n : number . is_nth_argument_of ( o , n , h ) )"
+    ))
+    assert evaluate(assertion, case.goal, case.context, args)
+    assert_agrees(assertion, case.goal, case.context, args)
+
+
 # Rule O on the corpus goals and the shipped heuristics' shapes, and the
 # same guards where they must narrow nothing.
 OCCURRENCE_GUARD_TEXTS = [

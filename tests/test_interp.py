@@ -539,6 +539,23 @@ class TestTraceHooks:
         assert [var for var, _ in witnesses] == ["t1", "to1"]
         assert counts["atomic"] > 0 and counts["items"] > 0
 
+    def test_narrowed_number_domains_route_through_the_instance(self, itrev_case, stdlib_set):
+        # h4's EX n : number is narrowed by its is_nth_argument_of guard to
+        # the one argument slot, and that domain is asked for too.
+        e, _ = ev(itrev_case, "model")
+        domain_values, numbers = e.domain_values, []
+
+        def recorded(domain, env):
+            values = domain_values(domain, env)
+            if values and all(type(v) is int for v in values):
+                numbers.append(list(values))
+            return values
+
+        e.domain_values = recorded
+        e.run(heuristic("h4_constructor_position", stdlib_set))
+        assert numbers
+        assert all(len(values) <= 1 for values in numbers)
+
 
 class TestWorkCounts:
     """With rule O, an occurrence quantifier guarded by an outer occurrence

@@ -34,6 +34,7 @@ from lifter.lang import (
     sort_check,
 )
 from lifter.interp import compile_assertion
+from lifter.stdlib import STDLIB_NAMES, default_heuristics_dir
 
 from helpers import random_assertion
 
@@ -301,3 +302,42 @@ class TestDeepInput:
         assert a == b and not a != b
         assert hash(a) == hash(b)
         assert a != parse_assertion(text.replace(self.LEAF, "EX x : rule . True"))
+
+
+SHIPPED_TEXTS = [
+    (default_heuristics_dir() / f"{name}.lifter").read_text(encoding="utf-8")
+    for name in STDLIB_NAMES
+]
+# Tokens, comment marks, variables of the shipped texts and odd characters.
+LIFTER_INSERTS = ["(", ")", ".", ":", ",", "/\\", "\\/", "->", "Not ", "EX ", "ALL ", "IN ",
+                  "(*", "*)", "t1 ", "to1 ", "n ", "r1 ", "number", "term", "0", "\u3000", "\x00"]
+LIFTER_VARIABLES = ["t1", "t2", "to1", "to2", "n", "r1", "x"]
+
+
+@st.composite
+def mutated_lifter_texts(draw) -> str:
+    """A shipped heuristic's text, cut short, or with a few spans deleted,
+    tokens inserted or variables renamed, which mostly gives sort errors."""
+    text = draw(st.sampled_from(SHIPPED_TEXTS))
+    if draw(st.booleans()):
+        return text[: draw(st.integers(0, len(text)))]
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["delete", "insert", "rename"]))
+        if edit == "delete":
+            text = text[:at] + text[at + draw(st.integers(1, 8)):]
+        elif edit == "insert":
+            text = text[:at] + draw(st.sampled_from(LIFTER_INSERTS)) + text[at:]
+        else:
+            old, new = draw(st.lists(st.sampled_from(LIFTER_VARIABLES), min_size=2, max_size=2))
+            text = text[:at] + text[at:].replace(f"{old} ", f"{new} ", 1)
+    return text
+
+
+@given(st.one_of(st.text(), mutated_lifter_texts()))
+@settings(max_examples=400, deadline=None)
+def test_assertion_checking_raises_only_parse_or_sort_error(text):
+    try:
+        sort_check(parse_assertion(text))
+    except (ParseError, SortError):
+        pass
