@@ -317,7 +317,8 @@ LIFTER_VARIABLES = ["t1", "t2", "to1", "to2", "n", "r1", "x"]
 @st.composite
 def mutated_lifter_texts(draw) -> str:
     """A shipped heuristic's text, cut short, or with a few spans deleted,
-    tokens inserted or variables renamed, which mostly gives sort errors."""
+    tokens inserted or variables renamed; a rename mostly gives a sort
+    error."""
     text = draw(st.sampled_from(SHIPPED_TEXTS))
     if draw(st.booleans()):
         return text[: draw(st.integers(0, len(text)))]
