@@ -19,14 +19,25 @@ index a goal once.  Terms compare by interned id, never by walking them,
 and a node's kind is the type of the interned term it denotes: an
 application, a lambda, or a leaf.
 
+Inside the evaluator a node is its preorder position in the index, and
+the occurrence domains hand out positions, so each structural atomic is a
+read of the index's arrays: the subtree of o is the positions from o up to
+end[o], an argument shares its head's parent and has a slot past 0, and a
+node is at deepest when its depth is the scope's.  Occurrence values exist
+only at the edges: `witnesses` turns the positions it reports into
+occurrences, and a direct `Evaluator.atomic` call finds each Occurrence it
+is given in the index first.  Compiled code never pays for that: only an
+Occurrence used as a list index raises the TypeError that sends a call to
+the conversion.
+
 Atomics that would be partial (stale occurrence, missing definition, index
 out of range, occurrences from different subgoals) evaluate to False rather
 than failing, so every closed checked assertion has a truth value.  Two
-atomics decide from the path alone and never look the node up:
-`is_in_term_occurrence` holds whenever the inner path extends the outer one
-in the same subgoal, and `is_at_deepest` whenever the path is as long as
-the deepest one, even if the goal has no node there.  No domain hands out
-such a stale occurrence, so this never changes a verdict.
+atomics decide a stale occurrence, one that names no node of the goal, from
+its path alone: `is_in_term_occurrence` holds whenever the inner path
+extends the outer one in the same subgoal, and `is_at_deepest` whenever the
+path is as long as the deepest one.  No domain hands out a stale
+occurrence, so this never changes a verdict.
 
 An assertion is compiled once, on its first evaluation, into closures
 over a slot list: the variable bound at binder depth i lives in env[i], so
@@ -38,7 +49,8 @@ it.  Chains of Not fold to one negation or none, and chains of And, Or and
 link.  Compiled code still calls `Evaluator.atomic` and
 `Evaluator.domain_values` through the evaluator, so wrapping those two
 attributes on one evaluator counts every atomic call and every domain it
-makes, narrowed domains included: a quantifier narrowed by rule (N, O)
+makes, narrowed domains included; the occurrences they pass and return are
+positions, never Occurrence values.  A quantifier narrowed by rule (N, O)
 below, or one over term_occurrence IN t, asks `domain_values` for a
 compiler-internal domain object, which gets the slot list in place of
 bindings.  A guard that the rule drops is never called: the narrowed
@@ -139,9 +151,9 @@ def classify_clause_params(definition: Definition, n: int) -> Pattern | None:
     return Pattern.ALL_CONSTRUCTOR
 
 
-def _kind_test(kinds) -> Callable[[Evaluator, Occurrence], bool]:
+def _kind_test(kinds):
     """An atomic that holds when the node's term is of one of kinds."""
-    return lambda ev, occ: isinstance(ev._node(occ), kinds)
+    return lambda ev, i: isinstance(ev._node(i), kinds)
 
 
 class Evaluator:
@@ -159,7 +171,7 @@ class Evaluator:
         self.context = context
         self.args = args
         self.index = goal.index
-        self.occurrences: list[Occurrence] = self.index.scope
+        self.occurrences = range(self.index.starts[1])  # positions in scope
         self.terms: list[Term] = self.index.subterms
         self.max_depth = self.index.max_depth
         self.max_number = max(len(self.terms), self.index.widest)
@@ -186,9 +198,8 @@ class Evaluator:
             tid = self._arg_ids.get(id(term))
         return self._intern(term) if tid is None else tid
 
-    def _node(self, occ: Occurrence) -> Term | None:
-        i = self.index.find(occ)
-        return None if i is None else self.index.term_of[self.index.term_ids[i]]
+    def _node(self, i: int) -> Term:
+        return self.index.term_of[self.index.term_ids[i]]
 
     def run(self, assertion: Assertion) -> bool:
         program = compile_assertion(assertion)
@@ -206,17 +217,18 @@ class Evaluator:
             return []
         # A true EX leaves its first satisfying value in its slot, and the
         # chain binds slots 0, 1, 2, ... in order.
-        return [(var, env[slot]) for slot, var in enumerate(program.chain)]
+        return [
+            (var, self.index.occurrence(env[slot]) if at_node else env[slot])
+            for slot, (var, at_node) in enumerate(program.chain)
+        ]
 
     def domain_values(self, domain, env):
-        """The values of a domain.  env maps the term variable of an OccsOf
-        domain to its term; a domain the compiler made (`_Guarded`) reads its
-        variables from env as the slot list, and any other ignores env."""
+        """The values of a domain, occurrences as positions.  A domain the
+        compiler made (`_Guarded`) reads its variables from env, the slot
+        list; any other ignores env."""
         match domain:
             case _Guarded():
                 return self._guarded(domain, env)
-            case OccsOf(term_var):
-                return self.index.occs_of.get(self._term_id(env[term_var]), [])
             case AllNumbers():
                 return self.numbers
             case AllRules():
@@ -246,18 +258,18 @@ class Evaluator:
         if kind == _OF_TERM:
             own = self._term_id(env[slots[0]])
             return index.occs_of.get(own, []) if tid is None or tid == own else []
-        occs, end, at = index.occurrences, index.end, index.by_id
-        a = at[id(env[slots[-1]])]  # a scope occurrence: no other is bound
+        end, parent, a = index.end, index.parent, env[slots[-1]]
         pool = self.occurrences if tid is None else index.occs_of.get(tid, [])
-        # The guard admits the positions from lo up to stop, at depth if given.
+        # The guard admits the positions from lo up to stop, whose parent is
+        # p if given.
         if kind == _SUBTREE:
-            lo, stop, depth = a, end[a], None
+            lo, stop, p = a, end[a], None
             found = range(a, stop)
         else:
-            path = occs[a].path
-            if not path or path[-1]:  # the anchor heads no application
+            if index.slot[a]:  # the anchor is a root or an argument
                 return []
-            lo, stop, depth = a + 1, end[a - 1], len(path)
+            p = parent[a]  # an application, or a lambda that a is the body of
+            lo, stop = a + 1, end[p]
             found, s = [], end[a]  # s: the first argument
             if kind == _NTH:
                 n = env[slots[0]]
@@ -269,43 +281,54 @@ class Evaluator:
                     found.append(s)
                     s = end[s]
         if len(found) > len(pool):
-            return [
-                o for o in pool
-                if lo <= at[id(o)] < stop and (depth is None or len(o.path) == depth)
-            ]
+            return [o for o in pool if lo <= o < stop and (p is None or parent[o] == p)]
         tids = index.term_ids
-        return [occs[i] for i in found if tid is None or tids[i] == tid]
+        return [i for i in found if tid is None or tids[i] == tid]
 
     def atomic(self, name: AtomicName, values: tuple) -> bool:
+        """Whether an atomic holds, its occurrences given as positions, as
+        compiled code gives them, or as Occurrence values.  Each Occurrence
+        is found in the index first; a stale one makes the atomic False,
+        but for the two atomics that decide it from its path."""
         try:
             test = _ATOMICS[id(name)]
         except KeyError:
             raise TypeError(f"not an atomic: {name!r}") from None
-        return test(self, *values)
+        try:
+            return test(self, *values)
+        except TypeError:  # an Occurrence used as a list index
+            found = [self.index.find(v) if isinstance(v, Occurrence) else v for v in values]
+        if None not in found:
+            return test(self, *found)
+        if name is AtomicName.IS_AT_DEEPEST:
+            return len(values[0].path) == self.max_depth
+        if name is AtomicName.IS_IN_TERM_OCCURRENCE:
+            inner, outer = values
+            return inner.subgoal == outer.subgoal and inner.path[: len(outer.path)] == outer.path
+        return False
 
-    # The atomics, one method each, named after the atomic.
+    # The atomics, one method each, named after the atomic; an occurrence
+    # is a position.
 
-    def _is_rule_of(self, rule_name: str, occ: Occurrence) -> bool:
-        node = self._node(occ)
+    def _is_rule_of(self, rule_name: str, i: int) -> bool:
+        node = self._node(i)
         record = self.context.rules.get(rule_name)
         return record is not None and isinstance(node, Const) and record.derived_from == node.name
 
-    def _term_occurrence_is_of_term(self, occ: Occurrence, term: Term) -> bool:
-        i = self.index.find(occ)
-        return i is not None and self.index.term_ids[i] == self._term_id(term)
+    def _term_occurrence_is_of_term(self, i: int, term: Term) -> bool:
+        return self.index.term_ids[i] == self._term_id(term)
 
     def _are_same_term(self, a: Term, b: Term) -> bool:
         return self._term_id(a) == self._term_id(b)
 
-    def _is_in_term_occurrence(self, inner: Occurrence, outer: Occurrence) -> bool:
-        return inner.subgoal == outer.subgoal and inner.path[: len(outer.path)] == outer.path
+    def _is_in_term_occurrence(self, i: int, o: int) -> bool:
+        return self.index.end[o] > i >= o
 
-    def _is_atomic(self, occ: Occurrence) -> bool:
-        node = self._node(occ)
-        return node is not None and not isinstance(node, (App, Lambda))
+    def _is_atomic(self, i: int) -> bool:
+        return not isinstance(self._node(i), (App, Lambda))
 
-    def _is_recursive_constant(self, occ: Occurrence) -> bool:
-        node = self._node(occ)
+    def _is_recursive_constant(self, i: int) -> bool:
+        node = self._node(i)
         if not isinstance(node, Const):
             return False
         definition = self.context.definitions.get(node.name)
@@ -318,11 +341,11 @@ class Evaluator:
     _is_lambda = _kind_test(Lambda)
     _is_application = _kind_test(App)
 
-    def _is_an_argument_of(self, arg_occ: Occurrence, head_occ: Occurrence) -> bool:
-        return self._argument_index(arg_occ, head_occ) is not None
+    def _is_an_argument_of(self, a: int, h: int) -> bool:
+        return self._argument_index(a, h) is not None
 
-    def _is_nth_argument_of(self, arg_occ: Occurrence, n: int, head_occ: Occurrence) -> bool:
-        return self._argument_index(arg_occ, head_occ) == n
+    def _is_nth_argument_of(self, a: int, n: int, h: int) -> bool:
+        return self._argument_index(a, h) == n
 
     def _is_nth_induction_term(self, term: Term, n: int) -> bool:
         ids = self._induction_ids
@@ -332,8 +355,8 @@ class Evaluator:
         ids = self._arbitrary_ids
         return n < len(ids) and ids[n] == self._term_id(term)
 
-    def _pattern_is(self, n: int, occ: Occurrence, pattern: Pattern) -> bool:
-        node = self._node(occ)
+    def _pattern_is(self, n: int, i: int, pattern: Pattern) -> bool:
+        node = self._node(i)
         if not isinstance(node, Const):
             return False
         definition = self.context.definitions.get(node.name)
@@ -341,24 +364,18 @@ class Evaluator:
             return False
         return classify_clause_params(definition, n) is pattern
 
-    def _is_at_deepest(self, occ: Occurrence) -> bool:
-        return len(occ.path) == self.max_depth
+    def _is_at_deepest(self, i: int) -> bool:
+        return self.index.depth[i] == self.max_depth
 
-    def _argument_index(self, arg_occ: Occurrence, head_occ: Occurrence) -> int | None:
-        """Argument slot (0-based) arg_occ fills under head_occ's application,
-        or None when head_occ heads no application or arg_occ sits elsewhere."""
-        if arg_occ.subgoal != head_occ.subgoal:
+    def _argument_index(self, a: int, h: int):
+        """Argument slot (0-based) a fills under h's application, or None
+        when h heads no application or a sits elsewhere.  Only an
+        application has a child past slot 0, so a node there with h's parent
+        is an argument of h, and h, at slot 0, heads that application."""
+        slot = self.index.slot
+        if slot[h] or self.index.parent[a] != self.index.parent[h] or slot[a] < 1:
             return None
-        if not head_occ.path or head_occ.path[-1] != 0:
-            return None
-        if len(arg_occ.path) != len(head_occ.path) or arg_occ.path[:-1] != head_occ.path[:-1]:
-            return None
-        # Only an application has a child past slot 0, so an existing
-        # occurrence there is one of its arguments.
-        slot = arg_occ.path[-1]
-        if slot < 1 or self.index.find(arg_occ) is None:
-            return None
-        return slot - 1
+        return slot[a] - 1
 
 
 # Evaluator.atomic's table, keyed by the id of each AtomicName member: an
@@ -385,10 +402,12 @@ Test = Callable[[Evaluator, list], bool]
 class Program:
     """An assertion compiled to closures over a slot list."""
 
-    def __init__(self, test: Test, slots: int, chain: tuple[str, ...]):
+    def __init__(self, test: Test, slots: int, chain: tuple):
         self.test = test
         self.slots = slots  # the deepest binder nesting, so the slot list's length
-        self.chain = chain  # variables of the leading EX chain, slot i each
+        # The variables of the leading EX chain, slot i each, and whether
+        # each ranges over occurrences.
+        self.chain = chain
 
 
 def compile_assertion(assertion: Assertion) -> Program:
@@ -409,7 +428,7 @@ class _Compiler:
         chain = []
         node = assertion
         while isinstance(node, Quant) and node.kind is QuantKind.EXISTS:
-            chain.append(node.var)
+            chain.append((node.var, isinstance(node.domain, (AllOccs, OccsOf))))
             node = node.body
         return Program(test, self.slots, tuple(chain))
 

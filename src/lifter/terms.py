@@ -11,8 +11,10 @@ application node, head first, and a lambda's body is its only child.
 
 An Occurrence addresses one such node of one subgoal by its child-index
 path from the root.  Two occurrences are equal exactly when their subgoal
-index and path are equal, even if they denote equal terms.  It is a named
-tuple, so the index hashes and compares occurrences in C.
+index and path are equal, even if they denote equal terms.  It is the
+public name of a node only: inside the index and the evaluator a node is
+its preorder position, and a path is built, by walking up from the node,
+only for an occurrence that is returned or printed.
 
 Terms are hash-consed in a TermTable: each distinct term has one id,
 keyed on its constructor and its children's ids, and one canonical Term.
@@ -20,12 +22,13 @@ Reading a case interns every term of it into one table, goal and argument
 sets alike, as the text is read (see `sexp`); a Goal built from Terms is
 interned into a table of its own when it is first indexed.
 
-A goal's occurrences and distinct subterms come from one GoalIndex, built
-in one walk over term ids the first time `Goal.index` is read and cached
-on the goal for its lifetime.  Each occurrence carries the id of the term
-it denotes.  The interpreter compares terms by id and reads a node's kind
-from the type of its term; `enumerate_occurrences` and
-`enumerate_subterms` are views over the index.
+A goal's nodes and distinct subterms come from one GoalIndex, built in
+one walk over term ids the first time `Goal.index` is read and cached on
+the goal for its lifetime.  It keeps each node's term id, parent, slot,
+depth and subtree end in flat arrays by position, so it grows with the node
+count, not with the sum of the nodes' depths.  The interpreter compares
+terms by id and reads a node's kind from the type of its term;
+`enumerate_occurrences` and `enumerate_subterms` are views over the index.
 """
 
 from __future__ import annotations
@@ -232,91 +235,104 @@ Occurrence = namedtuple("Occurrence", ("subgoal", "path"))
 class GoalIndex:
     """Every node and term of one goal, numbered in a single pass.
 
-    Occurrences of all subgoals are numbered in preorder, subgoal 0 first
-    and each head before its arguments.  Each occurrence carries the id of
-    the term it denotes in the goal's TermTable: the table the case was
-    read into, or, for a goal built from Terms, a new table its subgoals
-    are interned into first.  The walk goes over ids alone: an App key
-    unfolds into the head and arguments of one printed call, and every
-    node's id is known on the way down.
+    Nodes of all subgoals are numbered in preorder, subgoal 0 first and
+    each head before its arguments, and what the index knows of a node is
+    held in flat arrays by that position:
 
-    An occurrence the index holds is found by identity, through `by_id`,
-    as TermTable.canonical finds terms.  `positions`, keyed by value, serves
-    any other occurrence, and `end` gives the extent of each subtree of the
-    evaluation scope; each is built the first time it is read.
+      term_ids  the id of the node's term in the goal's TermTable
+      parent    the position of the node's application or lambda, -1 at a
+                root
+      slot      -1 at a root, 0 for a head or a lambda's body, k for
+                argument k
+      depth     the length of the node's path
+      end       the position just past the node's subtree: a subtree is
+                the interval from a node to its end, and a node's next
+                sibling starts at its end
+
+    The table is the one the case was read into, or, for a goal built from
+    Terms, a new table its subgoals are interned into first.  The walk goes
+    over ids alone: an App key unfolds into the head and arguments of one
+    printed call, and every node's id is known on the way down.  Positions
+    are all the evaluator handles; `occurrence` and `find` convert between
+    a position and the public Occurrence.
     """
 
     def __init__(self, goal: Goal):
         self.table = table = goal.table or TermTable()
         self.term_of = table.terms
         keys = table.keys
-        self.occurrences: list[Occurrence] = []
-        self.term_ids: list[int] = []
-        occs, tids = self.occurrences, self.term_ids
+        nodes = []  # (term id, parent, slot, depth) by position
+        self.end = end = []
         widest = 0  # most arguments of one constant application, any subgoal
         starts = []
-        for subgoal, term in enumerate(goal.subgoals):
-            starts.append(len(occs))
-            stack: list[tuple[int, tuple[int, ...]]] = [(table.intern(term), ())]
+        for term in goal.subgoals:
+            starts.append(len(nodes))
+            # The nodes to number, and (-1, p, 0, 0) where p's subtree ends.
+            stack = [(table.intern(term), -1, -1, 0)]
             while stack:
-                tid, path = stack.pop()
-                occs.append(Occurrence(subgoal, path))
-                tids.append(tid)
+                tid, p, _, d = node = stack.pop()
+                if tid < 0:
+                    end[p] = len(nodes)
+                    continue
+                i = len(nodes)
+                nodes.append(node)
+                end.append(i + 1)
                 key = keys[tid]
                 if key[0] is App:
-                    args: list[int] = []  # last argument first
+                    args = []  # last argument first
                     while key[0] is App:
                         args.append(key[2])
                         head = key[1]
                         key = keys[head]
-                    slot = len(args)
-                    if key[0] is Const and slot > widest:
-                        widest = slot
+                    k = len(args)
+                    if key[0] is Const and k > widest:
+                        widest = k
+                    d += 1
+                    stack.append((-1, i, 0, 0))
                     for arg in args:
-                        stack.append((arg, path + (slot,)))
-                        slot -= 1
-                    stack.append((head, path + (0,)))
+                        stack.append((arg, i, k, d))
+                        k -= 1
+                    stack.append((head, i, 0, d))
                 elif key[0] is Lambda:
-                    stack.append((key[2], path + (0,)))
-        # id() of an occurrence held here -> its position
-        self.by_id: dict[int, int] = dict(zip(map(id, occs), range(len(occs))))
+                    stack.append((-1, i, 0, 0))
+                    stack.append((key[2], i, 0, d + 1))
+        self.term_ids, self.parent, self.slot, self.depth = zip(*nodes)
         self.widest = widest
-        self.starts = (*starts, len(occs))
+        self.starts = (*starts, len(nodes))
         # The term domain: distinct terms in first-seen order.
-        self.subterms: list[Term] = [self.term_of[tid] for tid in dict.fromkeys(tids)]
+        self.subterms = [self.term_of[tid] for tid in dict.fromkeys(self.term_ids)]
 
         # Subgoal 0 is the evaluation scope.
-        self.scope = occs[: self.starts[1]]
-        self.max_depth = max(len(occ.path) for occ in self.scope)
-        self.occs_of: dict[int, list[Occurrence]] = {}
-        for occ, tid in zip(self.scope, tids):
-            self.occs_of.setdefault(tid, []).append(occ)
+        scope = self.starts[1]
+        self.max_depth = max(self.depth[:scope])
+        self.occs_of = {}  # term id -> its positions in scope
+        for i, tid in enumerate(self.term_ids[:scope]):
+            self.occs_of.setdefault(tid, []).append(i)
 
-    @cached_property
-    def end(self) -> list[int]:
-        """By position in the scope, the position just past the node's
-        subtree: a subtree is the interval from a node to its end, a node's
-        next sibling starts at its end, and a head's application sits just
-        before it."""
-        end = [0] * len(self.scope)
-        open_: list[int] = []  # the current node's ancestors, one per depth
-        for i, occ in enumerate(self.scope):
-            while len(open_) > len(occ.path):
-                end[open_.pop()] = i
-            open_.append(i)
-        for i in open_:
-            end[i] = len(self.scope)
-        return end
+    def occurrence(self, i: int) -> Occurrence:
+        """The occurrence at position i."""
+        path = []
+        while self.parent[i] >= 0:
+            path.append(self.slot[i])
+            i = self.parent[i]
+        return Occurrence(self.starts.index(i), tuple(reversed(path)))
 
-    @cached_property
-    def positions(self) -> dict[Occurrence, int]:
-        """The preorder position of each occurrence, keyed by value."""
-        return {occ: i for i, occ in enumerate(self.occurrences)}
-
-    def find(self, occurrence: Occurrence) -> int | None:
-        """The preorder position of an occurrence, or None if the goal has none."""
-        i = self.by_id.get(id(occurrence))
-        return self.positions.get(occurrence) if i is None else i
+    def find(self, occurrence):
+        """The position of an Occurrence, or None if the goal has no such
+        node: the path is followed down from the subgoal's root, each step
+        to the child at that slot."""
+        subgoal, path = occurrence
+        if not 0 <= subgoal < len(self.starts) - 1:
+            return None
+        i, end = self.starts[subgoal], self.end
+        for k in path:
+            j = i + 1  # the first child, if i has any
+            while j < end[i] and self.slot[j] != k:
+                j = end[j]
+            if j == end[i]:
+                return None
+            i = j
+        return i
 
 
 def enumerate_occurrences(goal: Goal, subgoal: int) -> list[tuple[Occurrence, Term]]:
@@ -328,8 +344,13 @@ def enumerate_occurrences(goal: Goal, subgoal: int) -> list[tuple[Occurrence, Te
     if not 0 <= subgoal < len(goal.subgoals):
         raise IndexError(f"subgoal index {subgoal} out of range")
     index = goal.index
-    span = range(index.starts[subgoal], index.starts[subgoal + 1])
-    return [(index.occurrences[i], index.term_of[index.term_ids[i]]) for i in span]
+    start = index.starts[subgoal]
+    out = []
+    for i in range(start, index.starts[subgoal + 1]):
+        p = index.parent[i]  # a parent's path is built before its children's
+        path = out[p - start][0].path + (index.slot[i],) if p >= 0 else ()
+        out.append((Occurrence(subgoal, path), index.term_of[index.term_ids[i]]))
+    return out
 
 
 def enumerate_subterms(goal: Goal) -> list[Term]:

@@ -154,7 +154,7 @@ def test_views_match_oracle_walks(goal):
 def test_domains_match_oracle(scenario):
     goal, context, args = scenario
     new, old = Evaluator(goal, context, args), oracle.Evaluator(goal, context, args)
-    assert new.occurrences == old.occurrences
+    assert [new.index.occurrence(i) for i in new.occurrences] == old.occurrences
     assert new.terms == old.terms
     assert (new.max_depth, new.max_number, new.numbers) == (
         old.max_depth, old.max_number, old.numbers
@@ -501,6 +501,11 @@ OCCURRENCE_GUARD_TEXTS = [
     "EX t : term . EX h : term_occurrence . EX x : term_occurrence IN t : term ."
     " x is_in_term_occurrence h /\\ Not ( is_atomic h ) /\\ is_atomic x",
     "ALL h : term_occurrence . ALL x : term_occurrence . x is_an_argument_of h -> Not ( is_lambda x )",
+    # An anchor that is itself an argument heads nothing, though arguments
+    # follow it under the same parent.
+    "EX h : term_occurrence . EX x : term_occurrence . x is_an_argument_of h /\\ is_free_variable h",
+    "EX h : term_occurrence . EX m : number . EX x : term_occurrence ."
+    " is_nth_argument_of ( x , m , h ) /\\ Not ( is_constant h )",
     "EX u : term . EX x : term_occurrence . x term_occurrence_is_of_term u /\\ is_at_deepest x",
     "EX t : term . EX u : term . EX x : term_occurrence IN t : term ."
     " x term_occurrence_is_of_term u /\\ Not ( are_same_term ( t , u ) )",

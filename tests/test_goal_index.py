@@ -5,6 +5,9 @@ case builds each of its terms once."""
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +33,7 @@ from lifter.terms import (
     enumerate_occurrences,
 )
 
+import oracle_interp as oracle
 from helpers import render_case_file, terms_strategy
 
 CONSTRUCTOR, VAR = ParamPattern.CONSTRUCTOR, ParamPattern.VAR
@@ -97,21 +101,35 @@ class TestLargeGoals:
 
 
 class TestPositions:
-    """The index finds each of its occurrences by identity and any equal
-    one by value, and `end` bounds each subtree of the scope."""
+    """Each position converts to the occurrence the oracle walk gives it and
+    back, its lists agree with that occurrence's path, and `end` bounds each
+    subtree, in every subgoal."""
 
     @given(st.lists(terms_strategy(), min_size=1, max_size=3))
     @settings(max_examples=100, deadline=None)
     def test_subtree_ends_and_lookups(self, subgoals):
-        index = Goal(tuple(subgoals)).index
-        for i, occ in enumerate(index.scope):
+        goal = Goal(tuple(subgoals))
+        index = goal.index
+        occs = [index.occurrence(i) for i in range(len(index.term_ids))]
+        assert occs == [
+            occ for s in range(len(subgoals)) for occ, _ in oracle.enumerate_occurrences(goal, s)
+        ]
+        for i, occ in enumerate(occs):
             depth = len(occ.path)
-            inside = [j for j, o in enumerate(index.scope) if o.path[:depth] == occ.path]
+            inside = [
+                j for j, o in enumerate(occs)
+                if o.subgoal == occ.subgoal and o.path[:depth] == occ.path
+            ]
             assert inside == list(range(i, index.end[i]))
-        for i, occ in enumerate(index.occurrences):
-            assert index.find(occ) == i == index.find(Occurrence(occ.subgoal, occ.path))
-        assert index.find(Occurrence(0, (99,))) is None
-        assert index.find(Occurrence(len(subgoals), ())) is None
+            assert index.depth[i] == depth
+            if occ.path:
+                assert index.slot[i] == occ.path[-1]
+                assert index.parent[i] == index.find(Occurrence(occ.subgoal, occ.path[:-1]))
+            else:
+                assert index.slot[i] == index.parent[i] == -1
+            assert index.find(occ) == i
+        for stale in ((0, (99,)), (0, (-1,)), (-1, ()), (len(subgoals), ())):
+            assert index.find(Occurrence(*stale)) is None
 
 
 class TestIndexSharing:
@@ -152,7 +170,8 @@ def index_view(index) -> dict:
     for i, tid in enumerate(index.term_ids):
         by_id.setdefault(tid, []).append(i)
     return {
-        "occurrences": index.occurrences,
+        "occurrences": [index.occurrence(i) for i in range(len(index.term_ids))],
+        "lists": (index.parent, index.slot, index.depth, index.end),
         "starts": index.starts,
         "partition": sorted(by_id.values()),
         "terms": [index.term_of[tid] for tid in index.term_ids],
@@ -160,7 +179,7 @@ def index_view(index) -> dict:
         "widest": index.widest,
         "max_depth": index.max_depth,
         "occs_of": {
-            index.positions[occs[0]]: (occs, index.term_of[tid])
+            occs[0]: ([index.occurrence(i) for i in occs], index.term_of[tid])
             for tid, occs in index.occs_of.items()
         },
     }
@@ -220,7 +239,25 @@ class TestWorkCounts:
         before = (len(table.terms), len(table.ids), term_builds["count"])
         index = case.goal.index
         assert (len(table.terms), len(table.ids), term_builds["count"]) == before
-        assert len(index.occurrences) == 3 * 240 + 6
+        assert len(index.term_ids) == 3 * 240 + 6
+
+    def test_index_memory_grows_with_the_node_count(self):
+        # Each node holds one entry in each of a few lists, so 8 times the
+        # nodes take about 8 times the bytes.  A path per node would grow
+        # with the sum of the depths: about 40 times from 240 to 1920.
+        def held(goal) -> int:
+            gc.collect()
+            tracemalloc.start()
+            try:
+                goal.index
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        small, large = spine_case(240)[0], spine_case(1920)[0]
+        ratio = held(large) / held(small)
+        assert (len(small.index.term_ids), len(large.index.term_ids)) == (726, 5766)
+        assert ratio <= 12
 
     def test_argument_terms_are_the_tables(self):
         goal, context, args = spine_case(30)

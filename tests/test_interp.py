@@ -14,8 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lifter.ingest import parse_case_file
-from lifter.interp import Evaluator, classify_clause_params, evaluate, find_witnesses
+from lifter.interp import (
+    _SLOT,
+    Evaluator,
+    _Guarded,
+    classify_clause_params,
+    evaluate,
+    find_witnesses,
+)
 from lifter.lang import (
+    AllNumbers,
     AllRules,
     And,
     AtomicName,
@@ -85,7 +93,7 @@ class TestDomains:
     def test_occurrence_domain_is_first_subgoal_only(self):
         goal = Goal((Free("a"), App(Const("f"), Free("b"))))
         e = Evaluator(goal, EMPTY_CONTEXT, NO_ARGS)
-        assert e.occurrences == [Occurrence(0, ())]
+        assert [e.index.occurrence(i) for i in e.occurrences] == [Occurrence(0, ())]
         # Terms still span every subgoal.
         assert Free("b") in e.terms
 
@@ -216,6 +224,22 @@ class TestOccurrenceRelations:
             AtomicName.IS_IN_TERM_OCCURRENCE,
             (Occurrence(1, ()), Occurrence(0, ())),
         )
+        # Positions run on from one subgoal into the next: subgoal 1's root
+        # directly follows the last node of subgoal 0, (0, (1,)).
+        goal = Goal((App(Const("f"), Free("a")), App(Const("g"), Free("b"))))
+        e = Evaluator(goal, EMPTY_CONTEXT, NO_ARGS)
+        last, root = Occurrence(0, (1,)), Occurrence(1, ())
+        assert goal.index.find(root) == goal.index.find(last) + 1
+        for inner, outer in ((last, root), (root, Occurrence(0, ())), (root, last)):
+            assert not e.atomic(AtomicName.IS_IN_TERM_OCCURRENCE, (inner, outer))
+        # Both roots have no parent and no slot, and neither heads the other;
+        # nor is an argument in one subgoal an argument of a head in another.
+        roots = Occurrence(0, ()), root
+        for a, h in (roots, roots[::-1], (Occurrence(1, (1,)), Occurrence(0, (0,)))):
+            assert not e.atomic(AtomicName.IS_AN_ARGUMENT_OF, (a, h))
+            for n in range(3):
+                assert not e.atomic(AtomicName.IS_NTH_ARGUMENT_OF, (a, n, h))
+        assert e.atomic(AtomicName.IS_AN_ARGUMENT_OF, (Occurrence(1, (1,)), Occurrence(1, (0,))))
 
     def test_argument_relation_on_itrev(self, itrev_case):
         e, _ = ev(itrev_case, "model")
@@ -278,6 +302,19 @@ class TestOccurrenceRelations:
             AtomicName.IS_NTH_ARGUMENT_OF,
             (Occurrence(0, (0, 1)), 0, Occurrence(0, (0, 0))),
         )
+        # The body sits at slot 0, as a head does, but heads no application:
+        # the body's own argument is not its argument.
+        body = Occurrence(0, (0,))
+        assert not e.atomic(AtomicName.IS_AN_ARGUMENT_OF, (Occurrence(0, (0, 1)), body))
+        assert not e.atomic(AtomicName.IS_NTH_ARGUMENT_OF, (Occurrence(0, (0, 1)), 0, body))
+        # Nor does the narrowed domain of an argument guard give it one.
+        for text in (
+            "EX h : term_occurrence . EX x : term_occurrence ."
+            " x is_an_argument_of h /\\ is_application h",
+            "EX h : term_occurrence . EX n : number . EX x : term_occurrence ."
+            " is_nth_argument_of ( x , n , h ) /\\ Not ( is_constant h )",
+        ):
+            assert not evaluate(sort_check(parse_assertion(text)), goal, EMPTY_CONTEXT, NO_ARGS)
 
     def test_occurrence_of_term_lookup(self, itrev_case):
         e, _ = ev(itrev_case, "model")
@@ -363,6 +400,12 @@ class TestDeepest:
         assert e.atomic(AtomicName.IS_AT_DEEPEST, (Occurrence(0, (2, 1, 1)),))
         assert not e.atomic(AtomicName.IS_AT_DEEPEST, (Occurrence(0, ()),))
         assert not e.atomic(AtomicName.IS_AT_DEEPEST, (Occurrence(0, (1, 1)),))
+        # The deepest depth is the scope's, but a node of a later subgoal at
+        # that depth is at deepest too.
+        goal = Goal((*itrev_case.goal.subgoals, itrev_case.goal.subgoals[0]))
+        later = Evaluator(goal, itrev_case.context, itrev_case.arg_sets["model"])
+        assert later.atomic(AtomicName.IS_AT_DEEPEST, (Occurrence(1, (2, 1, 1)),))
+        assert not later.atomic(AtomicName.IS_AT_DEEPEST, (Occurrence(1, (1, 1)),))
 
     def test_exec_inner_arguments_at_deepest(self, exec_case):
         e, _ = ev(exec_case, "model")
@@ -546,8 +589,11 @@ class TestTraceHooks:
         domain_values, numbers = e.domain_values, []
 
         def recorded(domain, env):
+            # Occurrences are ints too, so a number domain is told by the
+            # domain object asked for.
             values = domain_values(domain, env)
-            if values and all(type(v) is int for v in values):
+            slot = isinstance(domain, _Guarded) and domain.kind == _SLOT
+            if slot or isinstance(domain, AllNumbers):
                 numbers.append(list(values))
             return values
 
