@@ -102,7 +102,7 @@ class TestLargeGoals:
 
 class TestPositions:
     """Each position converts to the occurrence the oracle walk gives it and
-    back, its lists agree with that occurrence's path, and `end` bounds each
+    back, its arrays agree with that occurrence's path, and `end` bounds each
     subtree, in every subgoal."""
 
     @given(st.lists(terms_strategy(), min_size=1, max_size=3))
@@ -171,7 +171,7 @@ def index_view(index) -> dict:
         by_id.setdefault(tid, []).append(i)
     return {
         "occurrences": [index.occurrence(i) for i in range(len(index.term_ids))],
-        "lists": (index.parent, index.slot, index.depth, index.end),
+        "arrays": (index.parent, index.slot, index.depth, index.end),
         "starts": index.starts,
         "partition": sorted(by_id.values()),
         "terms": [index.term_of[tid] for tid in index.term_ids],
@@ -242,7 +242,7 @@ class TestWorkCounts:
         assert len(index.term_ids) == 3 * 240 + 6
 
     def test_index_memory_grows_with_the_node_count(self):
-        # Each node holds one entry in each of a few lists, so 8 times the
+        # Each node holds one entry in each of a few arrays, so 8 times the
         # nodes take about 8 times the bytes.  A path per node would grow
         # with the sum of the depths: about 40 times from 240 to 1920.
         def held(goal) -> int:
