@@ -22,21 +22,28 @@ may be of any length.
 Variables range over one of four sorts fixed by the quantifier's domain:
 numbers, rule names, terms, or term occurrences.  `sort_check` rejects any
 use of a variable at the wrong sort and any unbound variable.
+
+The lexer runs one compiled token pattern in a loop: each match skips
+blanks and takes one token, a comment opener "(*", a word, a punctuation
+mark or connective, or any other character, which is an error.  A word is
+a run of letters, digits and "_" whose first character is a letter or "_".
+No token spans a line, so the line and column come from counting the
+newlines in what each match skips.  Nested comments are not regular: at a
+"(*" token, a short scan over the "(*" and "*)" marks from there counts
+the depth down to zero, and the next match starts after the closing mark.
 """
 
 from __future__ import annotations
 
+import re
 from enum import Enum
 
-from .errors import LifterError
+from .errors import LifterError, PositionedError
 from .record import Record, set_field
 
 
-class ParseError(LifterError):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{line}:{col}: {message}")
-        self.line = line
-        self.col = col
+class ParseError(PositionedError):
+    """Assertion text that does not lex or parse."""
 
 
 class SortError(LifterError):
@@ -147,32 +154,14 @@ SIGNATURES: dict[AtomicName, tuple] = {
     AtomicName.IS_AT_DEEPEST: (Sort.OCCURRENCE,),
 }
 
-PREFIX_NAMES = frozenset(
-    {
-        AtomicName.IS_ATOMIC,
-        AtomicName.IS_CONSTANT,
-        AtomicName.IS_RECURSIVE_CONSTANT,
-        AtomicName.IS_VARIABLE,
-        AtomicName.IS_FREE_VARIABLE,
-        AtomicName.IS_BOUND_VARIABLE,
-        AtomicName.IS_LAMBDA,
-        AtomicName.IS_APPLICATION,
-        AtomicName.IS_AT_DEEPEST,
-    }
-)
-INFIX_NAMES = frozenset(
-    {
-        AtomicName.IS_RULE_OF,
-        AtomicName.TERM_OCCURRENCE_IS_OF_TERM,
-        AtomicName.IS_IN_TERM_OCCURRENCE,
-        AtomicName.IS_AN_ARGUMENT_OF,
-        AtomicName.IS_NTH_INDUCTION_TERM,
-        AtomicName.IS_NTH_ARBITRARY_TERM,
-    }
-)
+# Each atomic's syntax follows from its signature: one-argument atomics are
+# written prefix, the names in CALL_NAMES as calls, and the other
+# two-argument atomics infix.
 CALL_NAMES = frozenset(
     {AtomicName.ARE_SAME_TERM, AtomicName.IS_NTH_ARGUMENT_OF, AtomicName.PATTERN_IS}
 )
+PREFIX_NAMES = frozenset(n for n, sig in SIGNATURES.items() if len(sig) == 1)
+INFIX_NAMES = frozenset(n for n, sig in SIGNATURES.items() if len(sig) == 2) - CALL_NAMES
 
 Position = tuple[int, int]
 
@@ -306,71 +295,51 @@ class Token:
         self.col = col
 
 
+# Blanks, then one token: 1 the "(*" that opens a comment, 2 a word, 3 a
+# punctuation mark or connective, 4 any other character; or the end of the
+# text, where no group matches.  \s and \w match what str.isspace() and
+# str.isalnum() (or "_") accept.  No token holds a newline.
+_TOKEN = re.compile(r"\s*(?:(\(\*)|(\w+)|([():.,]|->|/\\|\\/)|(.)|\Z)")
+_COMMENT_MARK = re.compile(r"\(\*|\*\)")
+
+
 def _lex(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
-    line, col = 1, 1
-
-    def step(n: int = 1) -> None:
-        nonlocal i, line, col
-        for _ in range(n):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            step()
-            continue
-        if text.startswith("(*", i):
-            start_line, start_col = line, col
+    pos = 0
+    # The current token's line, the offset that line starts at, and the
+    # offset up to which newlines have been counted.
+    line, line_start, counted = 1, 0, 0
+    while True:
+        m = _TOKEN.match(text, pos)
+        kind = m.lastindex
+        start = m.start(kind) if kind else m.end()
+        newlines = text.count("\n", counted, start)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", counted, start) + 1
+        counted = start
+        col = start - line_start + 1
+        if kind is None:
+            tokens.append(Token("eof", "", line, col))
+            return tokens
+        if kind == 1:
             depth = 0
-            while i < len(text):
-                if text.startswith("(*", i):
-                    depth += 1
-                    step(2)
-                elif text.startswith("*)", i):
-                    depth -= 1
-                    step(2)
-                    if depth == 0:
-                        break
-                else:
-                    step()
-            if depth != 0:
-                raise ParseError("unterminated comment", start_line, start_col)
+            for mark in _COMMENT_MARK.finditer(text, start):
+                depth += 1 if mark[0] == "(*" else -1
+                if depth == 0:
+                    break
+            else:
+                raise ParseError("unterminated comment", line, col)
+            pos = mark.end()
             continue
-        if ch in "():.,":
-            tokens.append(Token(ch, ch, line, col))
-            step()
-            continue
-        if text.startswith("->", i):
-            tokens.append(Token("->", "->", line, col))
-            step(2)
-            continue
-        if text.startswith("/\\", i):
-            tokens.append(Token("/\\", "/\\", line, col))
-            step(2)
-            continue
-        if text.startswith("\\/", i):
-            tokens.append(Token("\\/", "\\/", line, col))
-            step(2)
-            continue
-        if ch.isalpha() or ch == "_":
-            start_line, start_col = line, col
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            step(j - i)
-            tokens.append(Token("word", word, start_line, start_col))
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
-    return tokens
+        token = m[kind]
+        if kind == 3:
+            tokens.append(Token(token, token, line, col))
+        elif kind == 2 and (token[0].isalpha() or token[0] == "_"):
+            tokens.append(Token("word", token, line, col))
+        else:
+            raise ParseError(f"unexpected character {token[0]!r}", line, col)
+        pos = m.end()
 
 
 # Far deeper than any real heuristic, and shallow enough that parsing (about

@@ -27,15 +27,12 @@ from __future__ import annotations
 
 import re
 
-from .errors import LifterError
+from .errors import PositionedError
 from .terms import App, Bound, Const, Free, Lambda, Schematic, Term, TermTable
 
 
-class SexpError(LifterError):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{line}:{col}: {message}")
-        self.line = line
-        self.col = col
+class SexpError(PositionedError):
+    """S-expression text that does not read."""
 
 
 class _Node:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import timeit
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from lifter.lang import (
     QuantKind,
     SortError,
     TermsIn,
+    _lex,
     parse_assertion,
     render_assertion,
     sort_check,
@@ -36,6 +38,7 @@ from lifter.lang import (
 from lifter.interp import compile_assertion
 from lifter.stdlib import STDLIB_NAMES, default_heuristics_dir
 
+import oracle_lang
 from helpers import random_assertion
 
 
@@ -342,3 +345,60 @@ def test_assertion_checking_raises_only_parse_or_sort_error(text):
         sort_check(parse_assertion(text))
     except (ParseError, SortError):
         pass
+
+
+class TestLexer:
+    """The lexer against the character-at-a-time lexer it replaced
+    (`oracle_lang`): for any text, both give the same tokens, with the same
+    line and column, or both raise the same `ParseError`."""
+
+    @staticmethod
+    def lexed(lexer, text: str):
+        try:
+            return [(tok.kind, tok.text, tok.line, tok.col) for tok in lexer(text)]
+        except ParseError as exc:
+            return ("error", str(exc), exc.line, exc.col)
+
+    # Texts and the full message parsing them gives (None: they parse).
+    FIXED = [
+        ("(* a\n (* b *)\n True", "1:1: unterminated comment"),
+        ("(*)", "1:1: unterminated comment"),
+        ("True\n  & False", "2:3: unexpected character '&'"),
+        ("(* x *)\n\n  )", "3:3: expected an assertion, found ')'"),
+        ("True *) False", "1:6: unexpected character '*'"),
+        ("\u00b2x", "1:1: unexpected character '\u00b2'"),
+        ("(* only *)", "1:11: expected an assertion, found end of input"),
+        ("EX \u00e9 : term . True", None),
+        ("True\r\n-> False", None),
+        ("EX x :\tterm . \u3000True", None),
+    ]
+
+    @pytest.mark.parametrize("text, error", FIXED)
+    def test_fixed_cases_match_oracle(self, text, error):
+        assert self.lexed(_lex, text) == self.lexed(oracle_lang._lex, text)
+        try:
+            parse_assertion(text)
+        except ParseError as exc:
+            assert str(exc) == error
+        else:
+            assert error is None
+
+    # Short runs of the characters the lexer treats specially, digits and
+    # letters that may or may not start a word, and odd blanks.
+    SOUP = st.text(
+        st.sampled_from(list("(*)->/\\:.,_1\u00b2\u00e9\n\r\t\u3000\x1c")), max_size=30
+    )
+
+    @given(st.one_of(st.text(), mutated_lifter_texts(), SOUP))
+    @settings(max_examples=600, deadline=None)
+    def test_texts_match_oracle(self, text):
+        assert self.lexed(_lex, text) == self.lexed(oracle_lang._lex, text)
+
+    def test_time_is_linear_in_the_text(self):
+        # Counting each token's line from offset 0 would make the 8x longer
+        # text cost about 64x; linear code costs about 8x.
+        def best(links: int) -> float:
+            text = "True /\\\n " * links
+            return min(timeit.repeat(lambda: _lex(text), number=1, repeat=3))
+
+        assert best(32000) <= 20 * best(4000)
