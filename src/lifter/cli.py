@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .errors import LifterError
 from .ingest import CorpusCase, load_case_file, load_corpus_dir, render_term_sexp
-from .interp import evaluate, find_witnesses
+from .interp import Evaluator, evaluate
 from .lang import parse_assertion, sort_check
 from .stdlib import load_stdlib
 from .terms import InductArgs, Occurrence
@@ -64,15 +64,15 @@ def cmd_assert(ns: argparse.Namespace) -> int:
     case = load_case_file(ns.case)
     args = _arg_set(case, ns.args)
     assertion = _load_heuristic_file(ns.heuristic)
-    holds = evaluate(assertion, case.goal, case.context, args)
-    if holds and ns.witness:
-        for var, value in find_witnesses(assertion, case.goal, case.context, args):
+    witnesses = Evaluator(case.goal, case.context, args).witnesses(assertion)
+    if witnesses is None:
+        print("Assertion failed.")
+        return 1
+    if ns.witness:
+        for var, value in witnesses:
             print(f"witness {var} = {_format_value(value)}", file=sys.stderr)
-    if holds:
-        print("Assertion succeeded.")
-        return 0
-    print("Assertion failed.")
-    return 1
+    print("Assertion succeeded.")
+    return 0
 
 
 def cmd_test_all(ns: argparse.Namespace) -> int:

@@ -238,7 +238,10 @@ def _parse_rule(form: SList) -> RuleRecord:
     derived = _expect_list(form.items[2], "derived-from")
     if len(derived.items) != 2:
         raise _fail(derived, "(derived-from ...) takes one constant name")
-    return RuleRecord(name, _expect_string(derived.items[1], "constant name"))
+    try:
+        return RuleRecord(name, _expect_string(derived.items[1], "constant name"))
+    except ValueError as exc:
+        raise _fail(form, str(exc)) from exc
 
 
 def _parse_context(form: SList) -> Context:

@@ -57,7 +57,7 @@ bindings.  A guard that the rule drops is never called: the narrowed
 domain decides it through the index or `Evaluator._argument_index`, so
 such counts leave it out.
 
-Two rewrites narrow quantifiers while compiling.  Both are exact, because
+One rewrite narrows quantifiers while compiling.  It is exact, because
 every atomic is total and has no side effects, so neither the order nor
 the number of times a subformula runs can change its value:
 
@@ -71,7 +71,6 @@ the number of times a subformula runs can change its value:
         is_nth_argument_of (o, x, h)      x ranges over o's argument slot
                                           under h, if any
         x is_an_argument_of h             over h's arguments
-        is_nth_argument_of (x, n, h)      over h's argument n, if any
         EX y : D' . ... /\\ is_nth_argument_of (x, n, h) /\\ ...
                                           over h's arguments, for any y, n
         x is_in_term_occurrence o         over the nodes of o's subtree
@@ -86,12 +85,6 @@ the number of times a subformula runs can change its value:
       direct conjuncts count, never one under Not or Or, nor an EX over an
       implication; a guard whose other variable is x itself, or is
       shadowed by x, pins nothing.
-  (H) hoisting.  EX x : D . A /\\ B  is  A /\\ EX x : D . B, and
-      ALL x : D . (A /\\ B) -> C  is  A -> ALL x : D . (B -> C), whenever x
-      is not free in A, wherever A stands among the conjuncts.  Such an A
-      runs once per entry to the quantifier, not once per value, and only
-      once D is known to be non-empty.  ALL x : D . (A /\\ B) is left
-      alone: it holds on an empty D while A may be false.
 """
 
 from __future__ import annotations
@@ -179,23 +172,12 @@ class Evaluator:
         self._extra: dict[tuple, int] = {}
         self._induction_ids = [self._intern(t) for t in args.induction_terms]
         self._arbitrary_ids = [self._intern(t) for t in args.arbitrary_terms]
-        # The argument terms themselves, by identity, as the TermsIn domains
-        # hand them out.
-        self._arg_ids = {
-            id(t): tid
-            for t, tid in zip(
-                args.induction_terms + args.arbitrary_terms,
-                self._induction_ids + self._arbitrary_ids,
-            )
-        }
 
     def _intern(self, term: Term) -> int:
         return self.index.table.intern(term, self._extra)
 
     def _term_id(self, term: Term) -> int:
         tid = self.index.table.canonical.get(id(term))
-        if tid is None:
-            tid = self._arg_ids.get(id(term))
         return self._intern(term) if tid is None else tid
 
     def _node(self, i: int) -> Term:
@@ -205,16 +187,15 @@ class Evaluator:
         program = compile_assertion(assertion)
         return program.test(self, [None] * program.slots)
 
-    def witnesses(self, assertion: Assertion) -> list[tuple[str, object]]:
-        """One satisfying binding for each quantifier in the leading EX chain.
-
-        Stops at the first node that is not an existential, or at an
-        existential with no satisfying value.
-        """
+    def witnesses(self, assertion: Assertion) -> list[tuple[str, object]] | None:
+        """One satisfying binding for each quantifier in the leading EX
+        chain, which stops at the first node that is not an existential, or
+        None when the assertion fails: one run gives both the verdict and
+        the bindings."""
         program = compile_assertion(assertion)
         env: list = [None] * program.slots
-        if not program.chain or not program.test(self, env):
-            return []
+        if not program.test(self, env):
+            return None
         # A true EX leaves its first satisfying value in its slot, and the
         # chain binds slots 0, 1, 2, ... in order.
         return [
@@ -258,7 +239,7 @@ class Evaluator:
         if kind == _OF_TERM:
             own = self._term_id(env[slots[0]])
             return index.occs_of.get(own, []) if tid is None or tid == own else []
-        end, parent, a = index.end, index.parent, env[slots[-1]]
+        end, parent, a = index.end, index.parent, env[slots[0]]
         pool = self.occurrences if tid is None else index.occs_of.get(tid, [])
         # The guard admits the positions from lo up to stop, whose parent is
         # p if given.
@@ -271,15 +252,9 @@ class Evaluator:
             p = parent[a]  # an application, or a lambda that a is the body of
             lo, stop = a + 1, end[p]
             found, s = [], end[a]  # s: the first argument
-            if kind == _NTH:
-                n = env[slots[0]]
-                while n and s < stop:
-                    s, n = end[s], n - 1
-                found = [s] if s < stop else []
-            else:  # at most one argument more than the pool holds
-                while s < stop and len(found) <= len(pool):
-                    found.append(s)
-                    s = end[s]
+            while s < stop and len(found) <= len(pool):  # at most one more than the pool
+                found.append(s)
+                s = end[s]
         if len(found) > len(pool):
             return [o for o in pool if lo <= o < stop and (p is None or parent[o] == p)]
         tids = index.term_ids
@@ -390,8 +365,9 @@ def evaluate(assertion: Assertion, goal: Goal, context: Context, args: InductArg
 def find_witnesses(
     assertion: Assertion, goal: Goal, context: Context, args: InductArgs
 ) -> list[tuple[str, object]]:
-    """`Evaluator.witnesses` for one (goal, context, args)."""
-    return Evaluator(goal, context, args).witnesses(assertion)
+    """`Evaluator.witnesses` for one (goal, context, args), empty when the
+    assertion fails."""
+    return Evaluator(goal, context, args).witnesses(assertion) or []
 
 
 # A compiled test decides one node for an evaluator and the slot list: the
@@ -424,7 +400,7 @@ class _Compiler:
         self.slots = 0
 
     def program(self, assertion: Assertion) -> Program:
-        test, _ = self.compile(assertion, {}, 0)
+        test = self.compile(assertion, {}, 0)
         chain = []
         node = assertion
         while isinstance(node, Quant) and node.kind is QuantKind.EXISTS:
@@ -432,42 +408,37 @@ class _Compiler:
             node = node.body
         return Program(test, self.slots, tuple(chain))
 
-    def compile(
-        self, node: Assertion, scope: dict[str, int], depth: int
-    ) -> tuple[Test, frozenset[int]]:
-        """A test deciding node, and the slots it reads.  Chains of Not are
-        folded and chains of And, Or and -> flattened, so a long chain costs
-        one closure and no Python stack per link."""
+    def compile(self, node: Assertion, scope: dict[str, int], depth: int) -> Test:
+        """A test deciding node.  Chains of Not are folded and chains of And,
+        Or and -> flattened, so a long chain costs one closure and no Python
+        stack per link."""
         negated = False
         while isinstance(node, Not):
             negated = not negated
             node = node.body
         match node:
             case BoolLit(value):
-                return _constant(value is not negated), frozenset()
+                return _constant(value is not negated)
             case Atomic(name, args):
-                test, reads = _atomic(name, args, scope)
+                test = _atomic(name, args, scope)
             case And():
-                test, reads = self._all(_operands(node, And), scope, depth, stop=False)
+                test = self._all(_operands(node, And), scope, depth, stop=False)
             case Or():
-                test, reads = self._all(_operands(node, Or), scope, depth, stop=True)
+                test = self._all(_operands(node, Or), scope, depth, stop=True)
             case Imp():
                 antecedents, consequent = _implication_parts(node)
-                pre, reads = self._all(antecedents, scope, depth, stop=False)
-                then, then_reads = self.compile(consequent, scope, depth)
-                test, reads = _implication(pre, then), reads | then_reads
+                pre = self._all(antecedents, scope, depth, stop=False)
+                test = _implication(pre, self.compile(consequent, scope, depth))
             case Quant():
-                test, reads = self._quant(node, scope, depth)
+                test = self._quant(node, scope, depth)
             case _:
                 raise TypeError(f"not an assertion: {node!r}")
-        return (_negation(test) if negated else test), reads
+        return _negation(test) if negated else test
 
-    def _all(self, nodes, scope, depth, stop: bool) -> tuple[Test, frozenset[int]]:
-        compiled = [self.compile(n, scope, depth) for n in nodes]
-        reads = frozenset().union(*(r for _, r in compiled))
-        return _connective([t for t, _ in compiled], stop), reads
+    def _all(self, nodes, scope, depth, stop: bool) -> Test:
+        return _connective([self.compile(n, scope, depth) for n in nodes], stop)
 
-    def _quant(self, node: Quant, scope: dict[str, int], depth: int):
+    def _quant(self, node: Quant, scope: dict[str, int], depth: int) -> Test:
         slot = depth
         self.slots = max(self.slots, slot + 1)
         inner = {**scope, node.var: slot}
@@ -481,21 +452,11 @@ class _Compiler:
         where, domain = _domain(slot, node.domain, term, conjuncts, inner)
         if where is not None:
             conjuncts = conjuncts[:where] + conjuncts[where + 1:]
-        compiled = [self.compile(c, inner, depth + 1) for c in conjuncts]
-        reads = frozenset().union(*(r for _, r in compiled))
-        hoisted = [t for t, r in compiled if slot not in r]
-        kept = [t for t, r in compiled if slot in r]
-        if consequent is None:
-            each = _connective(kept, False) if kept else None
-        else:
-            then, then_reads = self.compile(consequent, inner, depth + 1)
-            each = _implication(_connective(kept, False), then) if kept else then
-            reads |= then_reads
-        pre = _connective(hoisted, False) if hoisted else None
-        reads -= {slot}
-        if isinstance(domain, _Guarded):
-            reads |= {*domain.slots, domain.term} - {None}
-        return _scan(found, domain, slot, pre, each), reads
+        each = self._all(conjuncts, inner, depth + 1, stop=False)
+        if consequent is not None:
+            then = self.compile(consequent, inner, depth + 1)
+            each = _implication(each, then) if conjuncts else then
+        return _scan(found, domain, slot, each)
 
 
 def _operands(node: Assertion, op: type) -> list[Assertion]:
@@ -521,11 +482,10 @@ def _implication_parts(node: Assertion) -> tuple[list[Assertion], Assertion]:
 
 # The rows of rule (N, O): a guard atomic and the argument x fills in it,
 # by the candidates each admits; a number only for _SLOT, else an occurrence.
-_SLOT, _ARGUMENTS, _NTH, _SUBTREE, _OF_TERM = "slot", "arguments", "nth", "subtree", "of term"
+_SLOT, _ARGUMENTS, _SUBTREE, _OF_TERM = "slot", "arguments", "subtree", "of term"
 _GUARDS = {
     (AtomicName.IS_NTH_ARGUMENT_OF, 1): _SLOT,
     (AtomicName.IS_AN_ARGUMENT_OF, 0): _ARGUMENTS,
-    (AtomicName.IS_NTH_ARGUMENT_OF, 0): _NTH,
     (AtomicName.IS_IN_TERM_OCCURRENCE, 0): _SUBTREE,
     (AtomicName.TERM_OCCURRENCE_IS_OF_TERM, 0): _OF_TERM,
 }
@@ -535,9 +495,9 @@ class _Guarded:
     """A domain the compiler made, read from the slot list: the values of
     the declared domain that a guard of `kind` admits relative to the
     values in `slots`, the guard's other arguments in order (o and h for
-    o's argument slot under h, n and h for h's argument n, else the one
-    anchor).  `term`, if a slot, holds t of term_occurrence IN t; with no
-    guard (kind None) the domain is t's occurrences."""
+    o's argument slot under h, else the one anchor).  `term`, if a slot,
+    holds t of term_occurrence IN t; with no guard (kind None) the domain
+    is t's occurrences."""
 
     __slots__ = ("kind", "slots", "term")
 
@@ -582,7 +542,10 @@ def _negation(test: Test) -> Test:
 
 def _connective(tests: list[Test], stop: bool) -> Test:
     """tests joined by /\\ (stop False) or \\/ (stop True), left to right:
-    the first test that gives stop decides."""
+    the first test that gives stop decides, and no test at all gives
+    `not stop`."""
+    if not tests:
+        return _constant(not stop)
     if len(tests) == 1:
         return tests[0]
 
@@ -599,7 +562,7 @@ def _implication(pre: Test, then: Test) -> Test:
     return lambda ev, env: not pre(ev, env) or then(ev, env)
 
 
-def _atomic(name: AtomicName, args: tuple, scope: dict[str, int]) -> tuple[Test, frozenset[int]]:
+def _atomic(name: AtomicName, args: tuple, scope: dict[str, int]) -> Test:
     """A call of Evaluator.atomic through the instance, so that a wrapped
     atomic sees every call."""
     spec = [(scope[a], None) if isinstance(a, str) else (None, a) for a in args]
@@ -621,26 +584,17 @@ def _atomic(name: AtomicName, args: tuple, scope: dict[str, int]) -> tuple[Test,
         def atomic(ev, env):
             return ev.atomic(name, tuple([v if s is None else env[s] for s, v in spec]))
 
-    return atomic, frozenset(slots)
+    return atomic
 
 
-def _scan(found: bool, domain, slot: int, pre: Test | None, each: Test | None) -> Test:
+def _scan(found: bool, domain, slot: int, each: Test) -> Test:
     """EX (found is True) or ALL (found is False) over a domain, whose
-    values `Evaluator.domain_values` gives for the slot list.
-
-    pre, if any, is the hoisted part, which does not read the slot; each,
-    if any, is the rest, read for every value.  An empty domain or a false
-    hoisted part gives `not found` before anything else runs.
-    """
+    values `Evaluator.domain_values` gives for the slot list: each decides
+    the body with the value in the slot, and an empty domain gives
+    `not found`."""
 
     def scan(ev, env):
-        values = ev.domain_values(domain, env)
-        if not values or (pre is not None and not pre(ev, env)):
-            return not found
-        if each is None:  # EX whose whole body was hoisted
-            env[slot] = values[0]
-            return True
-        for value in values:
+        for value in ev.domain_values(domain, env):
             env[slot] = value
             if bool(each(ev, env)) is found:
                 return found

@@ -9,7 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import lifter
+from lifter import interp
 from lifter.cli import main
 from lifter.ingest import bundled_corpus_dir
 from lifter.stdlib import STDLIB_NAMES, default_heuristics_dir
@@ -143,6 +146,35 @@ class TestAssert:
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.err == ""
+
+    @pytest.mark.parametrize("name, args, rc", [
+        ("h3_same_recursive_occurrence", "model", 0),
+        ("h1_no_constant", "on_itrev", 1),
+    ])
+    def test_witness_takes_one_evaluator_and_one_run(self, monkeypatch, capsys, name, args, rc):
+        # One run of the program gives the verdict and the bindings both.
+        counts = {"evaluators": 0, "runs": 0}
+        evaluator_init, program_init = interp.Evaluator.__init__, interp.Program.__init__
+
+        def counted_evaluator(self, *values):
+            counts["evaluators"] += 1
+            evaluator_init(self, *values)
+
+        def counted_program(self, test, slots, chain):
+            def counted_test(ev, env):
+                counts["runs"] += 1
+                return test(ev, env)
+
+            program_init(self, counted_test, slots, chain)
+
+        monkeypatch.setattr(interp.Evaluator, "__init__", counted_evaluator)
+        monkeypatch.setattr(interp.Program, "__init__", counted_program)
+        assert main([
+            "assert", "--case", case_path("itrev"), "--args", args,
+            "--heuristic", heuristic_path(name), "--witness",
+        ]) == rc
+        capsys.readouterr()
+        assert counts == {"evaluators": 1, "runs": 1}
 
 
 class TestTestAll:
@@ -363,7 +395,7 @@ class TestInternalError:
         def fail(*args):
             raise RuntimeError("no verdict\nhere")
 
-        monkeypatch.setattr(lifter.cli, "evaluate", fail)
+        monkeypatch.setattr(lifter.cli, "Evaluator", fail)
         code = main(["assert", "--case", case_path("itrev"), "--args", "model",
                      "--heuristic", heuristic_path("h1_no_constant")])
         out, err = capsys.readouterr()

@@ -303,8 +303,9 @@ def guard_shape(rng: random.Random):
 
 def hoist_shape(rng: random.Random):
     """EX x . A /\\ B, ALL x . (A /\\ B) -> C and ALL x . A /\\ B, with
-    conjuncts that do and do not mention x, in any order (rule H).  The
-    last shape must not be hoisted; an empty domain tells."""
+    conjuncts that do and do not mention x, in any order, decided as the
+    oracle decides them.  ALL x . A /\\ B holds on an empty domain
+    whatever A is."""
     prefix, env = [], {}
     for _ in range(rng.randint(0, 2)):
         var, domain = rng.choice(NAMES), random_domain(rng, env)
@@ -338,14 +339,14 @@ OCCURRENCE_PLACES = ["direct"] * 3 + ["antecedent"] * 2 + ["not", "or", "exists_
 
 def occurrence_guard_shape(rng: random.Random):
     """Q x : D . ... with an occurrence guard on x among its conjuncts (rule
-    O): x is_an_argument_of h, is_nth_argument_of (x, m, h) with m bound
-    outside, EX n . ... /\\ is_nth_argument_of (x, n, h) /\\ ...,
-    x is_in_term_occurrence h or x term_occurrence_is_of_term u; or one
-    with x and h swapped, which pins nothing.  D is term_occurrence or
-    term_occurrence IN t.  The guard stands as a direct conjunct of an EX,
-    as an antecedent of ALL ... ->, under Not or Or, in an EX over an
-    implication, or in an ALL without one; only the first two narrow.  h
-    may be x itself, shadowed by x.
+    O): x is_an_argument_of h, EX n . ... /\\ is_nth_argument_of (x, n, h)
+    /\\ ..., x is_in_term_occurrence h or x term_occurrence_is_of_term u;
+    or is_nth_argument_of (x, m, h) with m bound outside, which has no row
+    and is tested for each x, or a guard with x and h swapped, which pins
+    nothing.  D is term_occurrence or term_occurrence IN t.  The guard
+    stands as a direct conjunct of an EX, as an antecedent of ALL ... ->,
+    under Not or Or, in an EX over an implication, or in an ALL without
+    one; only the first two narrow.  h may be x itself, shadowed by x.
     Some shapes are one EX chain down to x, so that find_witnesses reports
     the occurrence the narrowed domain gave."""
     prefix, env = [], {}

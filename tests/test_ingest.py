@@ -146,6 +146,14 @@ class TestCaseParsing:
         with pytest.raises(CaseError, match="'g'"):
             parse_case_file(broken)
 
+    @pytest.mark.parametrize("old, new", [
+        ('(derived-from "f")', '(derived-from "")'),
+        ('(rule "f.induct" (derived-from', '(rule "" (derived-from'),
+    ])
+    def test_empty_rule_names_rejected(self, old, new):
+        with pytest.raises(CaseError, match=r"^6:5: names must be non-empty strings$"):
+            parse_case_file(MINI_CASE.replace(old, new))
+
     def test_duplicate_args_id(self):
         broken = MINI_CASE.rstrip()[:-1] + '\n  (args "a" (on) (arbitrary) (rule)))'
         with pytest.raises(CaseError, match="duplicate argument set"):

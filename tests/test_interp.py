@@ -536,6 +536,8 @@ class TestWitnesses:
         a = sort_check(parse_assertion("EX r : rule . True"))
         args = itrev_case.arg_sets["model"]  # no rules
         assert find_witnesses(a, itrev_case.goal, itrev_case.context, args) == []
+        # The evaluator tells a failing assertion from an empty chain.
+        assert Evaluator(itrev_case.goal, itrev_case.context, args).witnesses(a) is None
 
     def test_universal_root_yields_no_witnesses(self, itrev_case, stdlib_set):
         h1 = heuristic("h1_no_constant", stdlib_set)
@@ -573,8 +575,8 @@ class TestTraceHooks:
         assert counts["atomic"] > 0 and counts["items"] > 0
 
     def test_witnesses_route_through_the_instance(self, itrev_case, stdlib_set):
-        # h1 has no leading EX, so its witness chain is empty without any
-        # evaluation; h3's is not.
+        # h1 holds and has no leading EX, so its witness chain is empty;
+        # h3's is not.
         e, _ = ev(itrev_case, "model")
         counts = self.counted(e)
         assert e.witnesses(heuristic("h1_no_constant", stdlib_set)) == []
