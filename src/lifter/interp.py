@@ -15,20 +15,22 @@ Quantifier domains come from the goal and the induct arguments:
 All of these come from one index per goal (`Goal.index`), built in one
 pass the first time any evaluator of the goal asks for it and shared by
 every later one, so `test-all`, `extract` and repeated `evaluate` calls
-index a goal once.  Terms compare by interned id, never by walking them,
-and a node's kind is the type of the interned term it denotes: an
-application, a lambda, or a leaf.
+index a goal once.
 
-Inside the evaluator a node is its preorder position in the index, and
-the occurrence domains hand out positions, so each structural atomic is a
-read of the index's arrays: the subtree of o is the positions from o up to
-end[o], an argument shares its head's parent and has a slot past 0, and a
-node is at deepest when its depth is the scope's.  Occurrence values exist
-only at the edges: `witnesses` turns the positions it reports into
-occurrences, and a direct `Evaluator.atomic` call finds each Occurrence it
-is given in the index first.  Compiled code never pays for that: only an
-Occurrence used as a list index raises the TypeError that sends a call to
-the conversion.
+Inside the evaluator a node is its preorder position in the index and a
+term is its id in the goal's TermTable, and the domains hand out those
+ints.  Each structural atomic is a read of the index's arrays: the
+subtree of o is the positions from o up to end[o], an argument shares its
+head's parent and has a slot past 0, and a node is at deepest when its
+depth is the scope's.  Two terms are the same when their ids are, and a
+node's kind and constant name are read from the key of its term's id: an
+application, a lambda, or a leaf.  Occurrence and Term values exist only
+at the edges: `witnesses` turns each value it reports into one by its
+variable's sort, and a direct `Evaluator.atomic` call finds each
+Occurrence it is given in the index, and each Term in the goal's table,
+first.  Compiled code never pays for that: only an Occurrence used as a
+list index, or a Term read through `operator.index`, raises the TypeError
+that sends a call to the conversion.
 
 Atomics that would be partial (stale occurrence, missing definition, index
 out of range, occurrences from different subgoals) evaluate to False rather
@@ -49,13 +51,13 @@ it.  Chains of Not fold to one negation or none, and chains of And, Or and
 link.  Compiled code still calls `Evaluator.atomic` and
 `Evaluator.domain_values` through the evaluator, so wrapping those two
 attributes on one evaluator counts every atomic call and every domain it
-makes, narrowed domains included; the occurrences they pass and return are
-positions, never Occurrence values.  A quantifier narrowed by rule (N, O)
-below, or one over term_occurrence IN t, asks `domain_values` for a
-compiler-internal domain object, which gets the slot list in place of
-bindings.  A guard that the rule drops is never called: the narrowed
-domain decides it through the index or `Evaluator._argument_index`, so
-such counts leave it out.
+makes, narrowed domains included; the occurrences and terms they pass and
+return are positions and ids, never Occurrence or Term values.  A
+quantifier narrowed by rule (N, O) below, or one over term_occurrence IN t,
+asks `domain_values` for a compiler-internal domain object, which gets the
+slot list in place of bindings.  A guard that the rule drops is never
+called: the narrowed domain decides it through the index or
+`Evaluator._argument_index`, so such counts leave it out.
 
 One rewrite narrows quantifiers while compiling.  It is exact, because
 every atomic is total and has no side effects, so neither the order nor
@@ -90,7 +92,7 @@ the number of times a subformula runs can change its value:
 from __future__ import annotations
 
 from collections.abc import Callable
-from operator import itemgetter
+from operator import index as _int, itemgetter
 
 from .lang import (
     AllNumbers,
@@ -110,7 +112,9 @@ from .lang import (
     Pattern,
     Quant,
     QuantKind,
+    Sort,
     TermsIn,
+    domain_sort,
 )
 from .terms import (
     App,
@@ -146,42 +150,33 @@ def classify_clause_params(definition: Definition, n: int) -> Pattern | None:
 
 def _kind_test(kinds):
     """An atomic that holds when the node's term is of one of kinds."""
-    return lambda ev, i: isinstance(ev._node(i), kinds)
+    return lambda ev, i: ev._keys[ev.index.term_ids[i]][0] in kinds
 
 
 class Evaluator:
     """Atomic semantics and quantifier domains for one (goal, context, args).
 
     The domains are the goal's index, shared by every evaluator of the same
-    Goal object.  Terms compare by their ids in the goal's TermTable.
-    Argument terms read with the goal's case are in that table already, so
-    each takes one identity lookup; any other term the table lacks gets an
-    id from this evaluator's own table.
+    Goal object.  Inside, an occurrence is a position in the index and a
+    term is its id in the goal's TermTable.  The induct arguments are
+    interned into that table here: one identity lookup each for terms read
+    with the goal's case, and a walk for any other, whose key joins the
+    table if it is missing.  No domain changes, as the index fixed them.
     """
 
     def __init__(self, goal: Goal, context: Context, args: InductArgs):
         self.goal = goal
         self.context = context
         self.args = args
-        self.index = goal.index
-        self.occurrences = range(self.index.starts[1])  # positions in scope
-        self.terms: list[Term] = self.index.subterms
-        self.max_depth = self.index.max_depth
-        self.max_number = max(len(self.terms), self.index.widest)
+        self.index = index = goal.index
+        self._keys = index.table.keys
+        self.occurrences = range(index.starts[1])  # positions in scope
+        self.terms: list[int] = index.subterms  # term ids
+        self.max_depth = index.max_depth
+        self.max_number = max(len(self.terms), index.widest)
         self.numbers = range(self.max_number + 1)
-        self._extra: dict[tuple, int] = {}
-        self._induction_ids = [self._intern(t) for t in args.induction_terms]
-        self._arbitrary_ids = [self._intern(t) for t in args.arbitrary_terms]
-
-    def _intern(self, term: Term) -> int:
-        return self.index.table.intern(term, self._extra)
-
-    def _term_id(self, term: Term) -> int:
-        tid = self.index.table.canonical.get(id(term))
-        return self._intern(term) if tid is None else tid
-
-    def _node(self, i: int) -> Term:
-        return self.index.term_of[self.index.term_ids[i]]
+        self._induction_ids = [index.table.intern(t) for t in args.induction_terms]
+        self._arbitrary_ids = [index.table.intern(t) for t in args.arbitrary_terms]
 
     def run(self, assertion: Assertion) -> bool:
         program = compile_assertion(assertion)
@@ -191,22 +186,24 @@ class Evaluator:
         """One satisfying binding for each quantifier in the leading EX
         chain, which stops at the first node that is not an existential, or
         None when the assertion fails: one run gives both the verdict and
-        the bindings."""
+        the bindings, occurrences as Occurrence and terms as Term values."""
         program = compile_assertion(assertion)
         env: list = [None] * program.slots
         if not program.test(self, env):
             return None
         # A true EX leaves its first satisfying value in its slot, and the
         # chain binds slots 0, 1, 2, ... in order.
+        index = self.index
         return [
-            (var, self.index.occurrence(env[slot]) if at_node else env[slot])
-            for slot, (var, at_node) in enumerate(program.chain)
+            (var, index.occurrence(v) if sort is Sort.OCCURRENCE
+             else index.term_of[v] if sort is Sort.TERM else v)
+            for (var, sort), v in zip(program.chain, env)
         ]
 
     def domain_values(self, domain, env):
-        """The values of a domain, occurrences as positions.  A domain the
-        compiler made (`_Guarded`) reads its variables from env, the slot
-        list; any other ignores env."""
+        """The values of a domain, occurrences as positions and terms as
+        ids.  A domain the compiler made (`_Guarded`) reads its variables
+        from env, the slot list; any other ignores env."""
         match domain:
             case _Guarded():
                 return self._guarded(domain, env)
@@ -220,8 +217,8 @@ class Evaluator:
                 return self.occurrences
             case TermsIn(modifier):
                 if modifier is Modifier.INDUCTION:
-                    return self.args.induction_terms
-                return self.args.arbitrary_terms
+                    return self._induction_ids
+                return self._arbitrary_ids
         raise TypeError(f"not a domain: {domain!r}")
 
     def _guarded(self, domain: _Guarded, env: list) -> list:
@@ -231,13 +228,13 @@ class Evaluator:
         term's occurrences, each tested against the guard."""
         kind, slots, index = domain.kind, domain.slots, self.index
         if kind is None:
-            return index.occs_of.get(self._term_id(env[domain.term]), [])
+            return index.occs_of.get(env[domain.term], [])
         if kind == _SLOT:
             n = self._argument_index(env[slots[0]], env[slots[1]])
             return [] if n is None or n > self.max_number else [n]
-        tid = None if domain.term is None else self._term_id(env[domain.term])
+        tid = None if domain.term is None else env[domain.term]
         if kind == _OF_TERM:
-            own = self._term_id(env[slots[0]])
+            own = env[slots[0]]
             return index.occs_of.get(own, []) if tid is None or tid == own else []
         end, parent, a = index.end, index.parent, env[slots[0]]
         pool = self.occurrences if tid is None else index.occs_of.get(tid, [])
@@ -261,18 +258,25 @@ class Evaluator:
         return [i for i in found if tid is None or tids[i] == tid]
 
     def atomic(self, name: AtomicName, values: tuple) -> bool:
-        """Whether an atomic holds, its occurrences given as positions, as
-        compiled code gives them, or as Occurrence values.  Each Occurrence
-        is found in the index first; a stale one makes the atomic False,
-        but for the two atomics that decide it from its path."""
+        """Whether an atomic holds, its occurrences and terms given as
+        positions and ids, as compiled code gives them, or as Occurrence
+        and Term values.  Each Occurrence is found in the index, and each
+        Term in the goal's table, first; a Term the table lacks joins it.
+        A stale occurrence makes the atomic False, but for the two atomics
+        that decide it from its path."""
         try:
             test = _ATOMICS[id(name)]
         except KeyError:
             raise TypeError(f"not an atomic: {name!r}") from None
         try:
             return test(self, *values)
-        except TypeError:  # an Occurrence used as a list index
-            found = [self.index.find(v) if isinstance(v, Occurrence) else v for v in values]
+        except TypeError:  # an Occurrence used as a list index, or a Term as an int
+            intern = self.index.table.intern
+            found = [
+                self.index.find(v) if isinstance(v, Occurrence)
+                else intern(v) if isinstance(v, Term) else v
+                for v in values
+            ]
         if None not in found:
             return test(self, *found)
         if name is AtomicName.IS_AT_DEEPEST:
@@ -283,38 +287,38 @@ class Evaluator:
         return False
 
     # The atomics, one method each, named after the atomic; an occurrence
-    # is a position.
+    # is a position and a term an id, read through _int so that a Term
+    # raises TypeError.
+
+    def _constant_name(self, i: int) -> str | None:
+        """The name of the constant at position i, or None for any other node."""
+        key = self._keys[self.index.term_ids[i]]
+        return key[1] if key[0] is Const else None
 
     def _is_rule_of(self, rule_name: str, i: int) -> bool:
-        node = self._node(i)
         record = self.context.rules.get(rule_name)
-        return record is not None and isinstance(node, Const) and record.derived_from == node.name
+        return record is not None and record.derived_from == self._constant_name(i)
 
-    def _term_occurrence_is_of_term(self, i: int, term: Term) -> bool:
-        return self.index.term_ids[i] == self._term_id(term)
+    def _term_occurrence_is_of_term(self, i: int, t: int) -> bool:
+        return self.index.term_ids[i] == _int(t)
 
-    def _are_same_term(self, a: Term, b: Term) -> bool:
-        return self._term_id(a) == self._term_id(b)
+    def _are_same_term(self, a: int, b: int) -> bool:
+        return _int(a) == _int(b)
 
     def _is_in_term_occurrence(self, i: int, o: int) -> bool:
         return self.index.end[o] > i >= o
 
-    def _is_atomic(self, i: int) -> bool:
-        return not isinstance(self._node(i), (App, Lambda))
-
     def _is_recursive_constant(self, i: int) -> bool:
-        node = self._node(i)
-        if not isinstance(node, Const):
-            return False
-        definition = self.context.definitions.get(node.name)
+        definition = self.context.definitions.get(self._constant_name(i))
         return definition is not None and definition.is_recursive
 
-    _is_constant = _kind_test(Const)
+    _is_atomic = _kind_test((Const, Free, Schematic, Bound))
+    _is_constant = _kind_test((Const,))
     _is_variable = _kind_test((Free, Schematic, Bound))
-    _is_free_variable = _kind_test(Free)
-    _is_bound_variable = _kind_test(Bound)
-    _is_lambda = _kind_test(Lambda)
-    _is_application = _kind_test(App)
+    _is_free_variable = _kind_test((Free,))
+    _is_bound_variable = _kind_test((Bound,))
+    _is_lambda = _kind_test((Lambda,))
+    _is_application = _kind_test((App,))
 
     def _is_an_argument_of(self, a: int, h: int) -> bool:
         return self._argument_index(a, h) is not None
@@ -322,22 +326,17 @@ class Evaluator:
     def _is_nth_argument_of(self, a: int, n: int, h: int) -> bool:
         return self._argument_index(a, h) == n
 
-    def _is_nth_induction_term(self, term: Term, n: int) -> bool:
+    def _is_nth_induction_term(self, t: int, n: int) -> bool:
         ids = self._induction_ids
-        return n < len(ids) and ids[n] == self._term_id(term)
+        return 0 <= n < len(ids) and ids[n] == _int(t)
 
-    def _is_nth_arbitrary_term(self, term: Term, n: int) -> bool:
+    def _is_nth_arbitrary_term(self, t: int, n: int) -> bool:
         ids = self._arbitrary_ids
-        return n < len(ids) and ids[n] == self._term_id(term)
+        return 0 <= n < len(ids) and ids[n] == _int(t)
 
     def _pattern_is(self, n: int, i: int, pattern: Pattern) -> bool:
-        node = self._node(i)
-        if not isinstance(node, Const):
-            return False
-        definition = self.context.definitions.get(node.name)
-        if definition is None:
-            return False
-        return classify_clause_params(definition, n) is pattern
+        definition = self.context.definitions.get(self._constant_name(i))
+        return definition is not None and classify_clause_params(definition, n) is pattern
 
     def _is_at_deepest(self, i: int) -> bool:
         return self.index.depth[i] == self.max_depth
@@ -381,8 +380,8 @@ class Program:
     def __init__(self, test: Test, slots: int, chain: tuple):
         self.test = test
         self.slots = slots  # the deepest binder nesting, so the slot list's length
-        # The variables of the leading EX chain, slot i each, and whether
-        # each ranges over occurrences.
+        # The variables of the leading EX chain, slot i each, and the sort
+        # each ranges over.
         self.chain = chain
 
 
@@ -404,7 +403,7 @@ class _Compiler:
         chain = []
         node = assertion
         while isinstance(node, Quant) and node.kind is QuantKind.EXISTS:
-            chain.append((node.var, isinstance(node.domain, (AllOccs, OccsOf))))
+            chain.append((node.var, domain_sort(node.domain)))
             node = node.body
         return Program(test, self.slots, tuple(chain))
 

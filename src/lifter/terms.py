@@ -20,15 +20,18 @@ Terms are hash-consed in a TermTable: each distinct term has one id,
 keyed on its constructor and its children's ids, and one canonical Term.
 Reading a case interns every term of it into one table, goal and argument
 sets alike, as the text is read (see `sexp`); a Goal built from Terms is
-interned into a table of its own when it is first indexed.
+interned into a table of its own when it is first indexed.  Interning a
+term whose key the table lacks adds the key, so an argument term absent
+from the goal joins the goal's table when an evaluator is built.
 
 A goal's nodes and distinct subterms come from one GoalIndex, built in
 one walk over term ids the first time `Goal.index` is read and cached on
 the goal for its lifetime.  It keeps each node's term id, parent, slot,
 depth and subtree end in flat arrays by position, so it grows with the node
-count, not with the sum of the nodes' depths.  The interpreter compares
-terms by id and reads a node's kind from the type of its term;
-`enumerate_occurrences` and `enumerate_subterms` are views over the index.
+count, not with the sum of the nodes' depths.  The interpreter handles
+terms as ids alone and reads a node's kind from its term's key;
+`enumerate_occurrences` and `enumerate_subterms` build the Occurrence and
+Term values of their views from the index.
 """
 
 from __future__ import annotations
@@ -176,11 +179,10 @@ class TermTable:
         self.canonical[id(term)] = tid
         return tid
 
-    def intern(self, term: Term, extra: dict[tuple, int] | None = None) -> int:
+    def intern(self, term: Term) -> int:
         """The id of any term: one identity lookup for a canonical Term,
-        one iterative walk for any other.  A key the table lacks is added
-        to it, or, when the caller passes its own `extra` table, numbered
-        there with a negative id and left out of this one."""
+        one iterative walk for any other.  A key the table lacks joins it,
+        with the next id."""
         tid = self.canonical.get(id(term))
         if tid is not None:
             return tid
@@ -204,9 +206,7 @@ class TermTable:
             else:
                 key = (type(t), t.name)
             tid = self.ids.get(key)
-            if tid is None:
-                tid = self.add(key) if extra is None else extra.setdefault(key, -1 - len(extra))
-            done.append(tid)
+            done.append(self.add(key) if tid is None else tid)
         return done[0]
 
 
@@ -299,8 +299,8 @@ class GoalIndex:
         self.term_ids, self.parent, self.slot, self.depth = zip(*nodes)
         self.widest = widest
         self.starts = (*starts, len(nodes))
-        # The term domain: distinct terms in first-seen order.
-        self.subterms = [self.term_of[tid] for tid in dict.fromkeys(self.term_ids)]
+        # The term domain: the ids of distinct terms in first-seen order.
+        self.subterms = list(dict.fromkeys(self.term_ids))
 
         # Subgoal 0 is the evaluation scope.
         scope = self.starts[1]
@@ -355,7 +355,8 @@ def enumerate_occurrences(goal: Goal, subgoal: int) -> list[tuple[Occurrence, Te
 
 def enumerate_subterms(goal: Goal) -> list[Term]:
     """Distinct terms denoted by occurrences across all subgoals, in first-seen order."""
-    return list(goal.index.subterms)
+    index = goal.index
+    return [index.term_of[tid] for tid in index.subterms]
 
 
 class ParamPattern(Enum):

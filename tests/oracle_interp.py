@@ -292,11 +292,11 @@ class Evaluator:
             case AtomicName.IS_NTH_INDUCTION_TERM:
                 term, n = values
                 terms = self.args.induction_terms
-                return n < len(terms) and terms[n] == term
+                return 0 <= n < len(terms) and terms[n] == term
             case AtomicName.IS_NTH_ARBITRARY_TERM:
                 term, n = values
                 terms = self.args.arbitrary_terms
-                return n < len(terms) and terms[n] == term
+                return 0 <= n < len(terms) and terms[n] == term
             case AtomicName.PATTERN_IS:
                 n, occ, pattern = values
                 node = self._node(occ)

@@ -16,7 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_interp as oracle
-from lifter.ingest import parse_case_file, parse_term_sexp, render_term_sexp
+from lifter.ingest import (
+    bundled_corpus_dir,
+    load_case_file,
+    parse_case_file,
+    parse_term_sexp,
+    render_term_sexp,
+)
 from lifter.interp import Evaluator, evaluate, find_witnesses
 from lifter.lang import (
     AllNumbers,
@@ -155,10 +161,28 @@ def test_domains_match_oracle(scenario):
     goal, context, args = scenario
     new, old = Evaluator(goal, context, args), oracle.Evaluator(goal, context, args)
     assert [new.index.occurrence(i) for i in new.occurrences] == old.occurrences
-    assert new.terms == old.terms
+    assert [new.index.term_of[t] for t in new.terms] == old.terms
     assert (new.max_depth, new.max_number, new.numbers) == (
         old.max_depth, old.max_number, old.numbers
     )
+
+
+def test_absent_argument_joins_the_table_not_the_domains():
+    """An API-built argument term the goal lacks gets an id in the goal's
+    table; the domains, fixed when the index was built, stay as they were."""
+    case = load_case_file(bundled_corpus_dir() / "itrev.case")
+    goal, table = case.goal, case.goal.table
+    model = Evaluator(goal, case.context, case.arg_sets["model"])
+    before = (list(model.terms), model.max_number, enumerate_subterms(goal))
+    keys = len(table.keys)
+    # Free "xs" is in the goal; the other three keys are not.
+    args = InductArgs((Free("absent"), Free("xs")), (App(Const("absent"), Free("xs")),))
+    e = Evaluator(goal, case.context, args)
+    assert len(table.keys) == len(table.ids) == keys + 3
+    assert (Free, "absent") in table.ids
+    assert (list(e.terms), e.max_number, enumerate_subterms(goal)) == before
+    for _, assertion in STDLIB:
+        assert_agrees(assertion, goal, case.context, args)
 
 
 @given(scenarios())
@@ -190,12 +214,13 @@ def test_atomics_match_oracle_pointwise(scenario, seed):
     occurrences = [occ for s in range(len(goal.subgoals))
                    for occ, _ in enumerate_occurrences(goal, s)]
     occurrences += [Occurrence(0, (7,)), Occurrence(len(goal.subgoals), ())]
-    terms = [*new.terms, *map(fresh_copy, new.terms), *args.induction_terms,
+    subterms = [new.index.term_of[t] for t in new.terms]
+    terms = [*subterms, *map(fresh_copy, subterms), *args.induction_terms,
              *args.arbitrary_terms, *ABSENT]
     pools = {
         Sort.OCCURRENCE: occurrences,
         Sort.TERM: terms,
-        Sort.NUMBER: list(range(new.max_number + 2)),
+        Sort.NUMBER: [-1, *range(new.max_number + 2)],
         Sort.RULE: [*args.rules, *context.rules, "unknown.induct"],
         Pattern: list(Pattern),
     }

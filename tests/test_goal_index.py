@@ -153,7 +153,9 @@ class TestIndexSharing:
         assert reparsed == itrev_case.goal == again
         assert reparsed.index is not itrev_case.goal.index
         assert again.index is not reparsed.index
-        assert reparsed.index.subterms == itrev_case.goal.index.subterms
+        assert [reparsed.index.term_of[t] for t in reparsed.index.subterms] == [
+            itrev_case.goal.index.term_of[t] for t in itrev_case.goal.index.subterms
+        ]
 
 
 def parsed(goal: Goal, context: Context | None = None, args: InductArgs | None = None):
@@ -175,7 +177,7 @@ def index_view(index) -> dict:
         "starts": index.starts,
         "partition": sorted(by_id.values()),
         "terms": [index.term_of[tid] for tid in index.term_ids],
-        "subterms": index.subterms,
+        "subterms": [index.term_of[tid] for tid in index.subterms],
         "widest": index.widest,
         "max_depth": index.max_depth,
         "occs_of": {
@@ -266,5 +268,7 @@ class TestWorkCounts:
         read = case.arg_sets["a"]
         for term in read.induction_terms + read.arbitrary_terms:
             assert table.terms[table.canonical[id(term)]] is term
-        # No argument term needed a structural walk or an id of its own.
-        assert Evaluator(case.goal, case.context, read)._extra == {}
+        # No argument term needed a structural walk or a key of its own.
+        keys = len(table.keys)
+        Evaluator(case.goal, case.context, read)
+        assert len(table.keys) == len(table.ids) == keys

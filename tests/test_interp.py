@@ -25,15 +25,18 @@ from lifter.interp import (
 from lifter.lang import (
     AllNumbers,
     AllRules,
+    AllTerms,
     And,
     AtomicName,
     BoolLit,
     Imp,
+    Modifier,
     Not,
     Or,
     Pattern,
     Quant,
     QuantKind,
+    TermsIn,
     parse_assertion,
     sort_check,
 )
@@ -49,6 +52,8 @@ from lifter.terms import (
     Lambda,
     Occurrence,
     Schematic,
+    TermTable,
+    enumerate_subterms,
 )
 
 from helpers import (
@@ -95,7 +100,21 @@ class TestDomains:
         e = Evaluator(goal, EMPTY_CONTEXT, NO_ARGS)
         assert [e.index.occurrence(i) for i in e.occurrences] == [Occurrence(0, ())]
         # Terms still span every subgoal.
-        assert Free("b") in e.terms
+        assert Free("b") in [e.index.term_of[t] for t in e.terms]
+
+    def test_term_domains_hand_out_table_ids(self, itrev_case):
+        e, args = ev(itrev_case, "model")
+        term_of = e.index.term_of
+        assert [term_of[t] for t in e.domain_values(AllTerms(), [])] == enumerate_subterms(
+            itrev_case.goal
+        )
+        for modifier, terms in (
+            (Modifier.INDUCTION, args.induction_terms),
+            (Modifier.ARBITRARY, args.arbitrary_terms),
+        ):
+            ids = e.domain_values(TermsIn(modifier), [])
+            assert all(isinstance(t, int) for t in ids)
+            assert [term_of[t] for t in ids] == list(terms)
 
     def test_rule_domain_comes_from_args(self, itrev_case):
         e, args = ev(itrev_case, "alt")
@@ -342,6 +361,15 @@ class TestArgsAtomics:
         assert e.atomic(AtomicName.IS_NTH_INDUCTION_TERM, (Free("ys"), 1))
         assert not e.atomic(AtomicName.IS_NTH_INDUCTION_TERM, (Free("ys"), 0))
         assert not e.atomic(AtomicName.IS_NTH_INDUCTION_TERM, (Free("xs"), 5))
+
+    def test_negative_n_is_out_of_range(self, itrev_case):
+        # A direct call may pass any int; only 0 up to the field's length
+        # names a term.
+        e, _ = ev(itrev_case, "model")
+        assert e.atomic(AtomicName.IS_NTH_INDUCTION_TERM, (Free("xs"), 0))
+        assert not e.atomic(AtomicName.IS_NTH_INDUCTION_TERM, (Free("xs"), -1))
+        assert e.atomic(AtomicName.IS_NTH_ARBITRARY_TERM, (Free("ys"), 0))
+        assert not e.atomic(AtomicName.IS_NTH_ARBITRARY_TERM, (Free("ys"), -1))
 
     def test_nth_arbitrary_term(self, exec_case):
         e, _ = ev(exec_case, "model")
@@ -634,6 +662,37 @@ class TestWorkCounts:
         large, large_goal = self.items(case_text(120), args_id, name, stdlib_set)
         assert large_goal <= 2 * small_goal
         assert large <= 2.2 * small
+
+    def test_run_makes_no_identity_lookup(self, itrev_case, stdlib_set, monkeypatch):
+        """Terms are table ids inside the evaluator: once it is built, its
+        runs find no term in the table, by identity or by walking it."""
+        e, _ = ev(itrev_case, "model")
+        calls = {"lookups": 0, "interns": 0}
+
+        class CountedDict(dict):
+            def get(self, *args):
+                calls["lookups"] += 1
+                return super().get(*args)
+
+            def __getitem__(self, key):
+                calls["lookups"] += 1
+                return super().__getitem__(key)
+
+        intern = TermTable.intern
+
+        def counted_intern(self, *args):
+            calls["interns"] += 1
+            return intern(self, *args)
+
+        table = e.index.table
+        monkeypatch.setattr(table, "canonical", CountedDict(table.canonical))
+        monkeypatch.setattr(TermTable, "intern", counted_intern)
+        for _, assertion in stdlib_set.entries:
+            e.run(assertion)
+        assert calls == {"lookups": 0, "interns": 0}
+        # The counters see a direct call, which finds each Term it is given.
+        assert e.atomic(AtomicName.ARE_SAME_TERM, (Free("xs"), Free("xs")))
+        assert calls == {"lookups": 2, "interns": 2}
 
 
 class TestDeepChains:
