@@ -48,14 +48,14 @@ its own.  The program is kept on the assertion object for as long as that
 object lives, as the index is kept on its goal, and every evaluator runs
 it.  Chains of Not fold to one negation or none, and chains of And, Or and
 -> flatten into one closure each, so a long chain takes no Python stack per
-link.  Compiled code still calls `Evaluator.atomic` and
-`Evaluator.domain_values` through the evaluator, so wrapping those two
-attributes on one evaluator counts every atomic call and every domain it
-makes, narrowed domains included; the occurrences and terms they pass and
-return are positions and ids, never Occurrence or Term values.  A
-quantifier narrowed by rule (N, O) below, or one over term_occurrence IN t,
-asks `domain_values` for a compiler-internal domain object, which gets the
-slot list in place of bindings.  A guard that the rule drops is never
+link.  Each quantifier's domain is chosen while compiling: a `_Domain`
+whose `values(ev, env)` lists a declared domain, t's occurrences for an
+unguarded term_occurrence IN t, or a row of rule (N, O) below.  Compiled
+code still calls `Evaluator.atomic` and `Evaluator.domain_values` through
+the evaluator, so wrapping those two attributes on one evaluator counts
+every atomic call and every domain it makes, narrowed domains included;
+the occurrences and terms they pass and return are positions and ids,
+never Occurrence or Term values.  A guard that the rule drops is never
 called: the narrowed domain decides it through the index or
 `Evaluator._argument_index`, so such counts leave it out.
 
@@ -81,9 +81,10 @@ the number of times a subformula runs can change its value:
       own order, so the first satisfying value and every witness stay the
       same; a slot past the number domain is no candidate.  An atomic
       guard holds exactly on its candidates and is dropped; the EX guard
-      stays, since its body says more.  For an occurrence the shorter side
-      is walked: the candidates, each tested for t, or t's occurrences,
-      each tested against the guard, both tests O(1) on the index.  Only
+      stays, since its body says more.  With t, a subtree's candidates are
+      cut out of t's sorted occurrences by bisection, and for arguments the
+      shorter side is walked: the arguments, each tested for t, or t's
+      occurrences, each tested against the guard, both O(1).  Only
       direct conjuncts count, never one under Not or Or, nor an EX over an
       implication; a guard whose other variable is x itself, or is
       shadowed by x, pins nothing.
@@ -91,6 +92,7 @@ the number of times a subformula runs can change its value:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Callable
 from operator import index as _int, itemgetter
 
@@ -202,60 +204,17 @@ class Evaluator:
 
     def domain_values(self, domain, env):
         """The values of a domain, occurrences as positions and terms as
-        ids.  A domain the compiler made (`_Guarded`) reads its variables
-        from env, the slot list; any other ignores env."""
-        match domain:
-            case _Guarded():
-                return self._guarded(domain, env)
-            case AllNumbers():
-                return self.numbers
-            case AllRules():
-                return self.args.rules
-            case AllTerms():
-                return self.terms
-            case AllOccs():
-                return self.occurrences
-            case TermsIn(modifier):
-                if modifier is Modifier.INDUCTION:
-                    return self._induction_ids
-                return self._arbitrary_ids
-        raise TypeError(f"not a domain: {domain!r}")
-
-    def _guarded(self, domain: _Guarded, env: list) -> list:
-        """The values of a compiler-made domain, in the declared domain's
-        order.  For an occurrence guard, whichever side is shorter is
-        walked: the guard's candidates, each tested for the term, or the
-        term's occurrences, each tested against the guard."""
-        kind, slots, index = domain.kind, domain.slots, self.index
-        if kind is None:
-            return index.occs_of.get(env[domain.term], [])
-        if kind == _SLOT:
-            n = self._argument_index(env[slots[0]], env[slots[1]])
-            return [] if n is None or n > self.max_number else [n]
-        tid = None if domain.term is None else env[domain.term]
-        if kind == _OF_TERM:
-            own = env[slots[0]]
-            return index.occs_of.get(own, []) if tid is None or tid == own else []
-        end, parent, a = index.end, index.parent, env[slots[0]]
-        pool = self.occurrences if tid is None else index.occs_of.get(tid, [])
-        # The guard admits the positions from lo up to stop, whose parent is
-        # p if given.
-        if kind == _SUBTREE:
-            lo, stop, p = a, end[a], None
-            found = range(a, stop)
-        else:
-            if index.slot[a]:  # the anchor is a root or an argument
-                return []
-            p = parent[a]  # an application, or a lambda that a is the body of
-            lo, stop = a + 1, end[p]
-            found, s = [], end[a]  # s: the first argument
-            while s < stop and len(found) <= len(pool):  # at most one more than the pool
-                found.append(s)
-                s = end[s]
-        if len(found) > len(pool):
-            return [o for o in pool if lo <= o < stop and (p is None or parent[o] == p)]
-        tids = index.term_ids
-        return [i for i in found if tid is None or tids[i] == tid]
+        ids.  Compiled code passes a `_Domain`, which reads env, the slot
+        list.  A lang domain, with bindings by name (t as a term id), is
+        turned into one that lists a tuple, so no caller can change the index."""
+        try:
+            values = domain.values
+        except AttributeError:  # a lang domain from a direct caller, t read by name
+            sort = domain_sort(domain)  # a TypeError for anything else
+            listed = _occs_of(domain.term_var) if isinstance(domain, OccsOf) else _DECLARED[domain]
+            domain = _Domain(lambda ev, env: tuple(listed(ev, env)), None, sort, None)
+            values = domain.values
+        return values(self, env)
 
     def atomic(self, name: AtomicName, values: tuple) -> bool:
         """Whether an atomic holds, its occurrences and terms given as
@@ -448,7 +407,7 @@ class _Compiler:
         else:
             conjuncts, consequent = _implication_parts(node.body)
         term = scope[node.domain.term_var] if isinstance(node.domain, OccsOf) else None
-        where, domain = _domain(slot, node.domain, term, conjuncts, inner)
+        where, domain = _domain(node, slot, term, conjuncts, inner)
         if where is not None:
             conjuncts = conjuncts[:where] + conjuncts[where + 1:]
         each = self._all(conjuncts, inner, depth + 1, stop=False)
@@ -479,46 +438,102 @@ def _implication_parts(node: Assertion) -> tuple[list[Assertion], Assertion]:
     return antecedents, node
 
 
-# The rows of rule (N, O): a guard atomic and the argument x fills in it,
-# by the candidates each admits; a number only for _SLOT, else an occurrence.
-_SLOT, _ARGUMENTS, _SUBTREE, _OF_TERM = "slot", "arguments", "subtree", "of term"
-_GUARDS = {
-    (AtomicName.IS_NTH_ARGUMENT_OF, 1): _SLOT,
-    (AtomicName.IS_AN_ARGUMENT_OF, 0): _ARGUMENTS,
-    (AtomicName.IS_IN_TERM_OCCURRENCE, 0): _SUBTREE,
-    (AtomicName.TERM_OCCURRENCE_IS_OF_TERM, 0): _OF_TERM,
+class _Domain:
+    """A quantifier's domain, chosen while compiling: `values(ev, env)` lists
+    it; `var`, `sort` and `pos` are the quantifier's, var and pos None for
+    a lang domain passed to `Evaluator.domain_values`."""
+
+    __slots__ = ("values", "var", "sort", "pos")
+
+    def __init__(self, values: Callable[[Evaluator, list], object], var, sort: Sort, pos):
+        self.values, self.var, self.sort, self.pos = values, var, sort, pos
+
+
+_DECLARED = {  # the values of each declared domain but term_occurrence IN t
+    AllNumbers(): lambda ev, env: ev.numbers,
+    AllRules(): lambda ev, env: ev.args.rules,
+    AllTerms(): lambda ev, env: ev.terms,
+    AllOccs(): lambda ev, env: ev.occurrences,
+    TermsIn(Modifier.INDUCTION): lambda ev, env: ev._induction_ids,
+    TermsIn(Modifier.ARBITRARY): lambda ev, env: ev._arbitrary_ids,
 }
 
 
-class _Guarded:
-    """A domain the compiler made, read from the slot list: the values of
-    the declared domain that a guard of `kind` admits relative to the
-    values in `slots`, the guard's other arguments in order (o and h for
-    o's argument slot under h, else the one anchor).  `term`, if a slot,
-    holds t of term_occurrence IN t; with no guard (kind None) the domain
-    is t's occurrences."""
+def _occs_of(term):
+    """term_occurrence IN t, with t in env[term]: t's occurrences in scope."""
+    return lambda ev, env: ev.index.occs_of.get(env[term], ())
 
-    __slots__ = ("kind", "slots", "term")
 
-    def __init__(self, kind: str | None, slots: tuple[int, ...], term: int | None):
-        self.kind, self.slots, self.term = kind, slots, term
+# The rows of rule (N, O) make x's narrowed domain from term (t's slot or
+# None) and the guard's other arguments' slots; t's occurrences are sorted.
+def _slot(term, o, h):
+    """A number x over o's argument slot under h, if any."""
+    def values(ev, env):
+        n = ev._argument_index(env[o], env[h])
+        return () if n is None or n > ev.max_number else (n,)
+    return values
+
+
+def _of_term(term, u):
+    """x over the occurrences of u, if u is t."""
+    return lambda ev, env: (
+        ev.index.occs_of.get(env[u], ()) if term is None or env[term] == env[u] else ())
+
+
+def _subtree(term, o):
+    """x over the nodes of o's subtree: the positions from o up to end[o]."""
+    def values(ev, env):
+        a = env[o]
+        if term is None:
+            return range(a, ev.index.end[a])
+        pool = ev.index.occs_of.get(env[term], ())
+        return pool[bisect_left(pool, a):bisect_left(pool, ev.index.end[a])]
+    return values
+
+
+def _arguments(term, h):
+    """x over h's arguments, walking them or t's occurrences, if fewer."""
+    def values(ev, env):
+        index, a = ev.index, env[h]
+        if index.slot[a]:  # the anchor is a root or an argument
+            return ()
+        end, parent = index.end, index.parent
+        p = parent[a]  # an application, or a lambda that a is the body of
+        pool = ev.occurrences if term is None else index.occs_of.get(env[term], ())
+        found, s = [], end[a]  # s: the first argument
+        while s < end[p] and len(found) <= len(pool):  # at most one more than the pool
+            found.append(s)
+            s = end[s]
+        if len(found) > len(pool):
+            return [o for o in pool if a < o < end[p] and parent[o] == p]
+        return found if term is None else [i for i in found if index.term_ids[i] == env[term]]
+    return values
+
+
+_GUARDS = {  # by a guard atomic and the argument x fills in it
+    (AtomicName.IS_NTH_ARGUMENT_OF, 1): _slot,
+    (AtomicName.IS_AN_ARGUMENT_OF, 0): _arguments,
+    (AtomicName.IS_IN_TERM_OCCURRENCE, 0): _subtree,
+    (AtomicName.TERM_OCCURRENCE_IS_OF_TERM, 0): _of_term,
+}
 
 
 def _domain(
-    slot: int, declared, term: int | None, conjuncts: list[Assertion], scope: dict[str, int]
-) -> tuple[int | None, object]:
-    """Rule (N, O) for the quantifier binding slot over the declared domain,
-    with term the slot of t in term_occurrence IN t: where in conjuncts the
-    guard to drop stands (None if none), and the domain to scan."""
+    node: Quant, slot: int, term: int | None, conjuncts: list[Assertion], scope: dict[str, int]
+) -> tuple[int | None, _Domain]:
+    """Rule (N, O) for the quantifier node binding slot, with term the slot
+    of t in term_occurrence IN t: where in conjuncts the guard to drop
+    stands (None if none), and the domain to scan."""
+    declared, quant = node.domain, (node.var, domain_sort(node.domain), node.pos)
     number = isinstance(declared, AllNumbers)
     if number or term is not None or isinstance(declared, AllOccs):
         for i, c in enumerate(conjuncts):
             if isinstance(c, Atomic):
                 slots = [scope.get(v) for v in c.args]
                 if slots.count(slot) == 1:
-                    kind = _GUARDS.get((c.name, slots.index(slot)))
-                    if kind is not None and (kind == _SLOT) is number:
-                        return i, _Guarded(kind, tuple(s for s in slots if s != slot), term)
+                    row = _GUARDS.get((c.name, slots.index(slot)))
+                    if row is not None and (row is _slot) is number:
+                        return i, _Domain(row(term, *(s for s in slots if s != slot)), *quant)
             elif isinstance(c, Quant) and c.kind is QuantKind.EXISTS and not number:
                 # EX n . ... /\ is_nth_argument_of (x, n, h) /\ ... holds only
                 # where x is an argument of h, whatever n is; the conjunct stays.
@@ -527,8 +542,8 @@ def _domain(
                     if isinstance(a, Atomic) and a.name is AtomicName.IS_NTH_ARGUMENT_OF:
                         arg, _, head = (inner[v] for v in a.args)
                         if arg == slot and head < slot:
-                            return None, _Guarded(_ARGUMENTS, (head,), term)
-    return None, declared if term is None else _Guarded(None, (), term)
+                            return None, _Domain(_arguments(term, head), *quant)
+    return None, _Domain(_DECLARED[declared] if term is None else _occs_of(term), *quant)
 
 
 def _constant(value: bool) -> Test:
@@ -587,10 +602,10 @@ def _atomic(name: AtomicName, args: tuple, scope: dict[str, int]) -> Test:
 
 
 def _scan(found: bool, domain, slot: int, each: Test) -> Test:
-    """EX (found is True) or ALL (found is False) over a domain, whose
-    values `Evaluator.domain_values` gives for the slot list: each decides
-    the body with the value in the slot, and an empty domain gives
-    `not found`."""
+    """EX (found is True) or ALL (found is False) over a `_Domain`, listed
+    for the slot list through the instance's `domain_values`, so that one
+    wrapped there sees it: each decides the body with the value in the
+    slot, and an empty domain gives `not found`."""
 
     def scan(ev, env):
         for value in ev.domain_values(domain, env):

@@ -123,8 +123,11 @@ def steps_bound(node, evaluator: Evaluator) -> int:
     """An upper bound on the quantifier iterations of one evaluation."""
     match node:
         case Quant(_, _, domain, body):
-            if isinstance(domain, OccsOf):
-                size = len(evaluator.occurrences)
+            if isinstance(domain, OccsOf):  # t's occurrences, for the t with the most
+                size = max(
+                    len(evaluator.domain_values(domain, {domain.term_var: t}))
+                    for t in evaluator.terms
+                )
             else:
                 size = len(evaluator.domain_values(domain, {}))
             return 1 + size * steps_bound(body, evaluator)

@@ -13,17 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lifter import bundled_corpus_dir, load_case_file
 from lifter.ingest import parse_case_file
 from lifter.interp import (
-    _SLOT,
     Evaluator,
-    _Guarded,
     classify_clause_params,
     evaluate,
     find_witnesses,
 )
 from lifter.lang import (
-    AllNumbers,
     AllRules,
     AllTerms,
     And,
@@ -32,11 +30,14 @@ from lifter.lang import (
     Imp,
     Modifier,
     Not,
+    OccsOf,
     Or,
     Pattern,
     Quant,
     QuantKind,
+    Sort,
     TermsIn,
+    domain_sort,
     parse_assertion,
     sort_check,
 )
@@ -56,6 +57,7 @@ from lifter.terms import (
     enumerate_subterms,
 )
 
+import oracle_interp as oracle
 from helpers import (
     desugar_occurrence_quants,
     map_chain_case_text,
@@ -121,6 +123,38 @@ class TestDomains:
         assert list(e.domain_values(AllRules(), {})) == ["itrev.induct"]
         e2, _ = ev(itrev_case, "model")
         assert list(e2.domain_values(AllRules(), {})) == []
+
+    def test_term_occurrence_domain_matches_the_oracle(self, itrev_case):
+        # A direct caller binds t of term_occurrence IN t by name.
+        e, args = ev(itrev_case, "model")
+        old = oracle.Evaluator(itrev_case.goal, itrev_case.context, args)
+        for t in e.terms:
+            term = e.index.term_of[t]
+            got = [e.index.occurrence(i) for i in e.domain_values(OccsOf("t"), {"t": t})]
+            assert got == old.domain_values(OccsOf("t"), {"t": term})
+        assert sum(len(e.domain_values(OccsOf("t"), {"t": t})) for t in e.terms) == len(
+            e.occurrences
+        )
+
+    def test_direct_callers_cannot_change_the_index(self, stdlib_set):
+        # A fresh case: the index is shared by every evaluator of its goal.
+        case = load_case_file(bundled_corpus_dir() / "itrev.case")
+        e, args = ev(case, "model")
+        heuristics = stdlib_set.selected(include_h7=True)
+
+        def verdicts():
+            return [evaluate(h, case.goal, case.context, args) for _, h in heuristics]
+
+        before = verdicts()
+        domains = [(AllTerms(), {}), (AllRules(), {})]
+        domains += [(TermsIn(modifier), {}) for modifier in Modifier]
+        domains += [(OccsOf("t"), {"t": t}) for t in e.terms]
+        for domain, env in domains:
+            try:
+                e.domain_values(domain, env).clear()
+            except AttributeError:  # a tuple or range has no clear()
+                pass
+            assert verdicts() == before, domain
 
     def test_unknown_domain_or_atomic_is_a_type_error(self, itrev_case):
         e, _ = ev(itrev_case, "model")
@@ -622,8 +656,7 @@ class TestTraceHooks:
             # Occurrences are ints too, so a number domain is told by the
             # domain object asked for.
             values = domain_values(domain, env)
-            slot = isinstance(domain, _Guarded) and domain.kind == _SLOT
-            if slot or isinstance(domain, AllNumbers):
+            if domain.sort is Sort.NUMBER:
                 numbers.append(list(values))
             return values
 
@@ -631,6 +664,33 @@ class TestTraceHooks:
         e.run(heuristic("h4_constructor_position", stdlib_set))
         assert numbers
         assert all(len(values) <= 1 for values in numbers)
+
+    def test_every_domain_carries_its_quantifier(self, itrev_case, stdlib_set):
+        # Narrowed or not, the domain a scan asks for carries the position,
+        # variable and sort of a quantifier of the parsed assertion.
+        for name, assertion in stdlib_set.selected(include_h7=True):
+            quants, stack = set(), [assertion]
+            while stack:
+                match stack.pop():
+                    case Quant(_, var, domain, body, pos):
+                        quants.add((pos, var, domain_sort(domain)))
+                        stack.append(body)
+                    case Not(body):
+                        stack.append(body)
+                    case And(lhs, rhs) | Or(lhs, rhs) | Imp(lhs, rhs):
+                        stack += (lhs, rhs)
+            e, _ = ev(itrev_case, "model")
+            domain_values, asked = e.domain_values, []
+
+            def recorded(domain, env):
+                asked.append((domain.pos, domain.var, domain.sort))
+                return domain_values(domain, env)
+
+            e.domain_values = recorded
+            e.run(assertion)
+            assert asked, name
+            assert all(pos is not None for pos, _, _ in quants), name
+            assert set(asked) <= quants, name
 
 
 class TestWorkCounts:
