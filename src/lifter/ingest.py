@@ -20,12 +20,13 @@ Terms are written
 Everything is validated on the way in: names resolve, bound indices are in
 scope, clause arities agree, and ids are unique.
 
-Reading is one pass (`sexp.read_case`) that leaves every well-formed term
-form as an interned term of one TermTable per case, which the goal keeps
-for its index and which the argument sets share.  What remains is a small
-tree of the other forms, checked here in reading order.  A term form that
-did not reduce is diagnosed from its plain list, with the message the
-first fault in it gets.
+Reading is one pass (`sexp.read_case`) that leaves every term form written
+as `render_term_sexp` writes it as an interned term of one TermTable per
+case, which the goal keeps for its index and which the argument sets
+share.  What remains is a small tree of the other forms, checked here in
+reading order.  A term form in any other layout, or one that breaks the
+term grammar, is read here from its plain list: into a term of the same
+table, or into the message the first fault in it gets.
 """
 
 from __future__ import annotations
@@ -74,6 +75,14 @@ def _fail(node: Sexp, message: str) -> CaseError:
     return CaseError(f"{node.line}:{node.col}: {message}")
 
 
+def _made(form: SList, make, *args):
+    """make(*args), with a ValueError it raises reported at `form`."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise _fail(form, str(exc)) from exc
+
+
 def _expect_list(node: Sexp, head: str | None = None) -> SList:
     if not isinstance(node, SList) or not node.items:
         raise _fail(node, f"expected a ({head or '...'} ...) form")
@@ -98,57 +107,67 @@ def _head_of(node: SList) -> str:
 _KEYWORD = {
     Const: "const", Free: "free", Schematic: "schematic", Bound: "bound", Lambda: "abs", App: "app",
 }
+_LEAVES = {"const": Const, "free": Free, "schematic": Schematic}
 
 
-def _term(node: Sexp | STerm) -> STerm:
-    """The reduced term form at `node`.  A term form the reader could not
-    reduce raises its first fault: the first a recursive descent meets,
-    each form checked before its children and an abs binder after its body,
-    as when the form is built."""
+def _term(node: Sexp | STerm, table: TermTable) -> STerm:
+    """The term form at `node`, interned in `table`.  A form the reader did
+    not reduce is read here, in one walk that checks each form before its
+    children and an abs binder after its body, as a recursive descent
+    would: it raises the first fault it meets, or builds the term, which
+    is closed when each bound index is under that many abs forms."""
     if isinstance(node, STerm):
         return node
-    todo: list = [node]
+    built: list[Term] = []
+    closed = True
+    # Forms still to read, each with the number of abs forms around it, and
+    # (form, binder) steps that build an abs form (binder a str) or an app
+    # form (binder None) from the last terms built.
+    todo: list = [(node, 0)]
     while todo:
-        item = todo.pop()
-        if type(item) is tuple:  # an abs form, its body done
-            raise _fail(item[0], "names must be non-empty strings")
-        form = _expect_list(item)
+        form, depth = todo.pop()
+        if type(depth) is not int:  # a build step
+            body = built.pop()
+            if depth is None:
+                built.append(App(built.pop(), body))
+            else:
+                built.append(_made(form, Lambda, depth, body))
+            continue
+        form = _expect_list(form)
         head = _head_of(form)
         rest = form.items[1:]
-        if head in ("const", "free", "schematic"):
+        if head in _LEAVES:
             if len(rest) != 1:
                 raise _fail(form, f"({head} ...) takes one name")
-            if not _expect_string(rest[0], "name"):
-                raise _fail(form, "names must be non-empty strings")
+            built.append(_made(form, _LEAVES[head], _expect_string(rest[0], "name")))
         elif head == "bound":
             if len(rest) != 1 or not isinstance(rest[0], SAtom) or not rest[0].text.isdigit():
                 raise _fail(form, "(bound ...) takes one natural number")
-            try:
-                int(rest[0].text)
-            except ValueError as exc:
-                raise _fail(form, str(exc)) from exc
+            index = _made(form, int, rest[0].text)
+            closed = closed and index < depth
+            built.append(Bound(index))
         elif head == "abs":
             if len(rest) != 2:
                 raise _fail(form, "(abs ...) takes a binder name and a body")
-            if not _expect_string(rest[0], "binder name"):
-                todo.append((form,))
-            todo.append(rest[1])
+            todo.append((form, _expect_string(rest[0], "binder name")))
+            todo.append((rest[1], depth + 1))
         elif head == "app":
             if len(rest) != 2:
                 raise _fail(form, "(app ...) takes two terms")
-            todo.append(rest[1])
-            todo.append(rest[0])
+            todo += ((form, None), (rest[1], depth), (rest[0], depth))
         else:
             raise _fail(form, f"unknown term keyword '{head}'")
-    raise AssertionError(f"{node.line}:{node.col}: a term form that did not reduce has no fault")
+    term = table.terms[table.intern(built[0])]
+    return STerm(term, closed, node.source, node.offset)
 
 
 def parse_term_sexp(text: str) -> Term:
+    table = TermTable()
     try:
-        node = read_case(text, TermTable())
+        node = read_case(text, table)
     except SexpError as exc:
         raise CaseError(str(exc)) from exc
-    return _term(node).term
+    return _term(node, table).term
 
 
 def render_term_sexp(term: Term) -> str:
@@ -173,8 +192,8 @@ def render_term_sexp(term: Term) -> str:
     return "".join(parts)
 
 
-def _checked_term(node: Sexp | STerm, where: str) -> Term:
-    reduced = _term(node)
+def _checked_term(node: Sexp | STerm, where: str, table: TermTable) -> Term:
+    reduced = _term(node, table)
     if not reduced.closed:
         raise _fail(node, f"{where}: bound index escapes its binders")
     return reduced.term
@@ -186,7 +205,7 @@ def _parse_goal(form: SList, table: TermTable) -> Goal:
         sub = _expect_list(entry, "subgoal")
         if len(sub.items) != 2:
             raise _fail(sub, "(subgoal ...) takes one term")
-        subgoals.append(_checked_term(sub.items[1], "subgoal"))
+        subgoals.append(_checked_term(sub.items[1], "subgoal", table))
     if not subgoals:
         raise _fail(form, "a goal needs at least one subgoal")
     return Goal(tuple(subgoals), table)
@@ -225,10 +244,7 @@ def _parse_defn(form: SList) -> Definition:
         raise _fail(form, f"unexpected extra forms in (defn {quote_string(name)} ...)")
     if len(items) == 4:
         clauses = _parse_clauses(_expect_list(items[3], "clauses"), name)
-    try:
-        return Definition(name, recursive, clauses)
-    except ValueError as exc:
-        raise _fail(form, str(exc)) from exc
+    return _made(form, Definition, name, recursive, clauses)
 
 
 def _parse_rule(form: SList) -> RuleRecord:
@@ -238,10 +254,7 @@ def _parse_rule(form: SList) -> RuleRecord:
     derived = _expect_list(form.items[2], "derived-from")
     if len(derived.items) != 2:
         raise _fail(derived, "(derived-from ...) takes one constant name")
-    try:
-        return RuleRecord(name, _expect_string(derived.items[1], "constant name"))
-    except ValueError as exc:
-        raise _fail(form, str(exc)) from exc
+    return _made(form, RuleRecord, name, _expect_string(derived.items[1], "constant name"))
 
 
 def _parse_context(form: SList) -> Context:
@@ -264,21 +277,18 @@ def _parse_context(form: SList) -> Context:
             rules[rule.rule_name] = rule
         else:
             raise _fail(sub, f"unknown context entry '{head}'")
-    try:
-        return Context(definitions, rules)
-    except ValueError as exc:
-        raise _fail(form, str(exc)) from exc
+    return _made(form, Context, definitions, rules)
 
 
-def _parse_args(form: SList, context: Context) -> tuple[str, InductArgs]:
+def _parse_args(form: SList, context: Context, table: TermTable) -> tuple[str, InductArgs]:
     if len(form.items) != 5:
         raise _fail(form, "(args ...) takes an id and (on ...) (arbitrary ...) (rule ...) forms")
     args_id = _expect_string(form.items[1], "argument-set id")
     on_form = _expect_list(form.items[2], "on")
     arb_form = _expect_list(form.items[3], "arbitrary")
     rule_form = _expect_list(form.items[4], "rule")
-    on = tuple(_checked_term(t, "induction term") for t in on_form.items[1:])
-    arbitrary = tuple(_checked_term(t, "arbitrary term") for t in arb_form.items[1:])
+    on = tuple(_checked_term(t, "induction term", table) for t in on_form.items[1:])
+    arbitrary = tuple(_checked_term(t, "arbitrary term", table) for t in arb_form.items[1:])
     rule_names: list[str] = []
     for entry in rule_form.items[1:]:
         rule_name = _expect_string(entry, "rule name")
@@ -303,7 +313,7 @@ def parse_case_file(text: str) -> CorpusCase:
     arg_sets: dict[str, InductArgs] = {}
     for entry in case.items[4:]:
         args_form = _expect_list(entry, "args")
-        args_id, args = _parse_args(args_form, context)
+        args_id, args = _parse_args(args_form, context, table)
         if args_id in arg_sets:
             raise _fail(args_form, f"duplicate argument set '{args_id}'")
         arg_sets[args_id] = args

@@ -205,13 +205,16 @@ class Evaluator:
     def domain_values(self, domain, env):
         """The values of a domain, occurrences as positions and terms as
         ids.  Compiled code passes a `_Domain`, which reads env, the slot
-        list.  A lang domain, with bindings by name (t as a term id), is
-        turned into one that lists a tuple, so no caller can change the index."""
+        list.  A lang domain, with bindings by name (t as a term id, or a
+        Term, interned in the goal's table as `atomic` does), is turned into
+        one that lists a tuple, so no caller can change the index."""
         try:
             values = domain.values
         except AttributeError:  # a lang domain from a direct caller, t read by name
             sort = domain_sort(domain)  # a TypeError for anything else
             listed = _occs_of(domain.term_var) if isinstance(domain, OccsOf) else _DECLARED[domain]
+            if isinstance(domain, OccsOf) and isinstance(env[domain.term_var], Term):
+                env = {domain.term_var: self.index.table.intern(env[domain.term_var])}
             domain = _Domain(lambda ev, env: tuple(listed(ev, env)), None, sort, None)
             values = domain.values
         return values(self, env)

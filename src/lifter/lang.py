@@ -169,39 +169,7 @@ Position = tuple[int, int]
 class _Node(Record):
     """The base of the assertion classes.  Nodes keep a __dict__, where the
     interpreter caches each node's compiled program; equality, hashing and
-    repr read only the fields.  Equality and hashing walk a tree from an
-    explicit stack, so depth costs no Python stack."""
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        todo = [(self, other)]
-        while todo:
-            a, b = todo.pop()
-            if a is b:
-                continue
-            if a.__class__ is not b.__class__:
-                return False
-            for x, y in zip(a._values(), b._values()):
-                if isinstance(x, _Node):
-                    todo.append((x, y))
-                elif x != y:
-                    return False
-        return True
-
-    def __hash__(self) -> int:
-        # Each node's class and leaf fields, in one fixed order of the walk.
-        parts: list = []
-        todo = [self]
-        while todo:
-            node = todo.pop()
-            parts.append(node.__class__)
-            for value in node._values():
-                if isinstance(value, _Node):
-                    todo.append(value)
-                else:
-                    parts.append(value)
-        return hash(tuple(parts))
+    repr read only the fields."""
 
 
 class BoolLit(_Node):

@@ -3,7 +3,9 @@
 Each value class is written out by hand: its fields, its `__init__` with
 the checks its values must pass, and `__match_args__` for the positional
 patterns of `match` statements.  Record adds what they share: equality,
-hashing, a `repr`, and immutability.
+hashing, a `repr`, and immutability.  Equality and hashing walk fields
+that are records themselves from an explicit stack, so a tree of records
+(a term, an assertion) may nest as deep as memory allows.
 """
 
 from __future__ import annotations
@@ -31,12 +33,35 @@ class Record:
         return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__:
+                return False
+            for x, y in zip(a._values(), b._values()):
+                if isinstance(x, Record):
+                    todo.append((x, y))
+                elif x != y:
+                    return False
+        return True
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        # Each record's class and leaf fields, in one fixed order of the walk.
+        parts: list = []
+        todo = [self]
+        while todo:
+            record = todo.pop()
+            parts.append(record.__class__)
+            for value in record._values():
+                if isinstance(value, Record):
+                    todo.append(value)
+                else:
+                    parts.append(value)
+        return hash(tuple(parts))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

@@ -11,16 +11,16 @@ the text and its offset in it; the line and column are counted from the
 offset only when a diagnostic asks for them.
 
 The same token loop reads case files (`read_case`), with a pattern that
-also takes a whole leaf form such as (const "x"), and an opener such as
-(app or (abs "y", as one token.  There every term form -- (const "s"),
-(free "s"), (schematic "s"), (bound N), (app T T) and (abs "s" T) -- is
-reduced on the reader's stack as its ')' closes: it becomes the id of its
-key in a TermTable, so each distinct term is built once, as its canonical
-Term, and no term is built as a list.  Any other layout (line breaks,
-comments inside a form, "(app(") takes the general tokens and reduces the
-same way.  Each bound index is checked against the number of abs forms
-around it as it is read.  A term form that does not reduce is read again
-as a plain list if ingest asks for its items, to diagnose it.
+also takes a whole leaf form such as (const "x") or (bound 0), and an
+opener such as (app or (abs "y", as one token.  Term forms in that layout,
+the one `ingest.render_term_sexp` prints, are reduced on the reader's stack
+as their ')' closes: each becomes the id of its key in a TermTable, so each
+distinct term is built once, as its canonical Term.  Blanks and comments
+may stand around subterms.  Each bound index is checked against the number
+of abs forms around it as it is read.  Any other term form (a comment
+inside a leaf form, a name with an escape, an item that is not a reduced
+term) is an _Unreduced: a plain list, read again from its text if ingest
+asks for its items.
 """
 
 from __future__ import annotations
@@ -90,9 +90,10 @@ class STerm(_Node):
 
 
 class _Unreduced(SList):
-    """A term form of a case that did not reduce: a plain list, read again
-    from its text the first time its items are asked for.  A form inside
-    another that fails too is never asked, so no text is read twice."""
+    """A term form of a case that the reader did not reduce: a plain list,
+    read again from its text the first time its items are asked for.  A
+    form inside another that is not reduced either is never asked, so no
+    text is read twice."""
 
     __slots__ = ("end",)
 
@@ -113,32 +114,28 @@ Sexp = SAtom | SString | SList
 # Token groups, numbered alike in both patterns: 1 ')'; 2, 3, 4 the name of
 # a whole (const ...), (free ...) or (schematic ...) form; 5 the index of a
 # whole (bound ...) form; 6 an (app opener; 7 the binder of an (abs "y"
-# opener; 8 any other '('; 9 blank; 10 string body and 11 its closing quote
-# (empty when the string is unterminated); 12 an atom.  Groups 2-7 match
-# only names without escapes and indices of at most nine digits, and only
-# when reading a case.  Every character starts some token and each token
-# takes the blanks after it, so the matches tile the text.  `\s` matches
-# exactly what `str.isspace` accepts.
-_WHOLE_FORMS = (
+# opener; 8 the '(' of any other term form, one whose head is a term
+# keyword; 9 any other '('; 10 blank; 11 string body and 12 its closing
+# quote (empty when the string is unterminated); 13 an atom.  Groups 2-8
+# match only when reading a case, and groups 2-7 only names without
+# escapes and indices of at most nine digits.  Every character starts some
+# token and each token takes the blanks after it, so the matches tile the
+# text.  `\s` matches exactly what `str.isspace` accepts.
+_TERM_FORMS = (
     r'const\s*"([^"\\]+)"\s*\)|free\s*"([^"\\]+)"\s*\)|schematic\s*"([^"\\]+)"\s*\)'
     r'|bound\s+([0-9]{1,9})\s*\)|(app)(?=[\s()";])|abs\s*"([^"\\]+)"'
+    r'|(?=(?:;[^\n]*\n\s*)*(?:const|free|schematic|bound|app|abs)(?![^\s()";]))()'
 )
 _GENERAL = r'(\s+|;[^\n]*)|"([^"\\]*(?:\\[\s\S][^"\\]*)*)("?)|([^\s()";]+)'
 # Both are compiled on first use, and then found in `re`'s cache.
-_CASE_TOKEN = rf"(?:(\))|\(\s*(?:{_WHOLE_FORMS}|())|{_GENERAL})\s*"
-_PLAIN_TOKEN = rf"(?:(\))|\(\s*(?:(?!)(?:{_WHOLE_FORMS})|())|{_GENERAL})\s*"
+_CASE_TOKEN = rf"(?:(\))|\(\s*(?:{_TERM_FORMS}|())|{_GENERAL})\s*"
+_PLAIN_TOKEN = rf"(?:(\))|\(\s*(?:(?!)(?:{_TERM_FORMS})|())|{_GENERAL})\s*"
 _ESCAPE = re.compile(r"\\([\s\S])")
 
-# What an open list is, as far as its items so far tell: a plain list, one
-# whose head is yet to come, or a term form (ABS_BINDER is an abs form
-# still waiting for its binder).  A term form whose items break its shape
-# becomes FAILED.  Kinds from APP on hold terms; CONST, FREE and SCHEMATIC
-# are also the token groups of their whole forms.
-LIST, PENDING, CONST, FREE, SCHEMATIC, FAILED, BOUND, ABS_BINDER, APP, ABS = range(10)
-_KEYWORDS = {
-    "const": CONST, "free": FREE, "schematic": SCHEMATIC,
-    "bound": BOUND, "abs": ABS_BINDER, "app": APP,
-}
+# What an open list is: a plain list, a term form that may still reduce,
+# or one that will not (FAILED), whose items are not kept.  Only a plain
+# list holds nodes; APP and ABS hold term ids.
+LIST, FAILED, APP, ABS = range(4)
 _LEAVES = (None, None, Const, Free, Schematic)
 
 
@@ -173,15 +170,18 @@ def read_case(text: str, table: TermTable) -> Sexp | STerm:
 def _read(text: str, table: TermTable | None, pos: int, endpos: int) -> Sexp | STerm:
     """The one form in text[pos:endpos].  Each open list is a frame: its
     items, its kind, where it starts, how many abs forms enclose its items
-    inside one term, and the escape count when it opened.  A term form
-    whose items are not all reduced terms fails, so a term that reduces
-    has abs forms around each of its bound indices just as counted, and is
-    closed when no escape was counted while it was read.  (A bound index
-    outside any term form is an STerm of its own, never closed.)"""
+    inside one term (none in a plain list, which is never inside a term),
+    and the escape count when it opened.  A term form reduces only when
+    it is written as the case tokens take it, and then only when its items
+    are all reduced terms, so a term that reduces has abs forms around
+    each of its bound indices just as counted, and is closed when no
+    escape was counted while it was read.  (A bound index outside any term
+    form is an STerm of its own, never closed.)  Any other term form is an
+    _Unreduced, for ingest to read."""
     if table is None:
-        tokens, keywords = re.compile(_PLAIN_TOKEN).finditer(text, pos, endpos), {}
+        tokens = re.compile(_PLAIN_TOKEN).finditer(text, pos, endpos)
     else:
-        tokens, keywords = re.compile(_CASE_TOKEN).finditer(text, pos, endpos), _KEYWORDS
+        tokens = re.compile(_CASE_TOKEN).finditer(text, pos, endpos)
         ids, add, terms = table.ids, table.add, table.terms
     stack: list[tuple[list, int, int, int, int]] = []
     items: list = []  # of the innermost open list, or the top-level form
@@ -190,48 +190,31 @@ def _read(text: str, table: TermTable | None, pos: int, endpos: int) -> Sexp | S
     for token in tokens:
         k = token.lastindex
         if not stack:  # at the top level
-            if items and k != 9:
+            if items and k != 10:
                 raise _error("trailing content after form", text, token.start())
             if k == 1:
                 raise _error("unexpected ')'", text, token.start())
         if k == 1:  # ')': the closing list becomes a term id (tid), or a node
-            key = node = None
-            if kind == APP:
-                if len(items) == 2:
-                    key = (App, items[0], items[1])
-            elif kind <= PENDING:
-                node = SList(tuple(items), text, start)
-            elif kind == ABS and len(items) == 2 and items[0]:
-                key = (Lambda, items[0], items[1])
-            elif CONST <= kind <= SCHEMATIC and len(items) == 1 and items[0]:
-                key = (_LEAVES[kind], items[0])
-            elif kind == BOUND and len(items) == 1 and items[0].isdigit():
-                try:
-                    index = int(items[0])
-                except ValueError:  # a digit that is not a decimal one, or too many
-                    pass
-                else:
-                    escapes += index >= binders
-                    key = (Bound, index)
-            tid = None
-            if key is not None:
+            tid = node = None
+            if kind >= APP and len(items) == 2:
+                key = (App if kind == APP else Lambda, items[0], items[1])
                 tid = ids.get(key)
                 if tid is None:
                     tid = add(key)
+            elif kind == LIST:
+                node = SList(tuple(items), text, start)
             closed, list_start = escapes == mark, start
-            enclosing, kind, start, binders, mark = stack.pop()
+            items, kind, start, binders, mark = stack.pop()
             if tid is not None and kind >= APP:
-                enclosing.append(tid)
-            elif kind <= PENDING:
+                items.append(tid)
+            elif kind == LIST:
                 if tid is not None:
                     node = STerm(terms[tid], closed, text, list_start)
                 elif node is None:  # a term form that did not reduce
                     node = _Unreduced(text, list_start, token.start() + 1)
-                enclosing.append(node)
-                kind = LIST
+                items.append(node)
             else:
                 kind = FAILED
-            items = enclosing
         elif k <= 5:  # a whole leaf or bound form
             if k == 5:
                 index = int(token.group(5))
@@ -244,52 +227,38 @@ def _read(text: str, table: TermTable | None, pos: int, endpos: int) -> Sexp | S
                 tid = add(key)
             if kind >= APP:
                 items.append(tid)
-            elif kind <= PENDING:
-                items.append(STerm(terms[tid], k != 5, text, token.start()))
-                kind = LIST
-            else:
-                kind = FAILED
-        elif k <= 8:  # an opener: (app, (abs "y", or a '(' whose head is yet to come
-            if kind >= APP:
-                inner = binders
-            else:
-                inner, kind = 0, LIST if kind <= PENDING else FAILED
-            stack.append((items, kind, start, binders, mark))
-            start, mark = token.start(), escapes
-            if k == 6:
-                items, kind, binders = [], APP, inner
-            elif k == 7:
-                items, kind, binders = [token.group(7)], ABS, inner + 1
-            else:
-                items, kind, binders = [], PENDING, inner
-        elif k == 12:  # an atom
-            atom = token.group(12)
-            if kind == PENDING:
-                kind = keywords.get(atom, LIST)
-                if kind == LIST:
-                    items.append(SAtom(atom, text, token.start()))
-                elif kind == ABS_BINDER:
-                    binders += 1
             elif kind == LIST:
-                items.append(SAtom(atom, text, token.start()))
-            elif kind == BOUND:
-                items.append(atom)
+                items.append(STerm(terms[tid], k != 5, text, token.start()))
+        elif k <= 7:  # an (app or (abs "y" opener
+            stack.append((items, kind, start, binders, mark))
+            start, mark, items = token.start(), escapes, []
+            if kind == FAILED:  # a form inside a failed one fails too
+                continue
+            if k == 6:
+                kind = APP
+            else:
+                items, kind = [token.group(7)], ABS
+                binders += 1
+        elif k <= 9:  # any other '(': a plain list, or a term form that will not reduce
+            if kind >= APP:  # a term form's items are terms
+                kind = FAILED
+            stack.append((items, kind, start, binders, mark))
+            start, items = token.start(), []
+            if k == 8:
+                kind = FAILED
+        elif k == 13:  # an atom
+            if kind == LIST:
+                items.append(SAtom(token.group(13), text, token.start()))
             else:
                 kind = FAILED
-        elif k == 11:  # a string
-            body = token.group(10)
+        elif k == 12:  # a string
+            body = token.group(11)
             if "\\" in body:
-                body = _unescape(text, body, token.start(10))
-            if not token.group(11):
+                body = _unescape(text, body, token.start(11))
+            if not token.group(12):
                 raise _error("unterminated string", text, token.start())
-            if kind <= PENDING:
+            if kind == LIST:
                 items.append(SString(body, text, token.start()))
-                kind = LIST
-            elif CONST <= kind <= SCHEMATIC:
-                items.append(body)
-            elif kind == ABS_BINDER:
-                items.append(body)
-                kind = ABS
             else:
                 kind = FAILED
     if stack:

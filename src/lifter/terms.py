@@ -3,11 +3,12 @@
 Terms are curried: an application node has exactly one function and one
 argument, and bound variables are de Bruijn indices.  Two terms are equal
 when they have the same constructors, names and indices.  Each term
-carries its hash from the moment it is built, and equality walks a term
-with an explicit stack, so depth costs no Python stack.  Assertions never
-see that shape directly.  Their nodes follow the way a goal reads when
-printed: a head and all of its arguments are the children of one
-application node, head first, and a lambda's body is its only child.
+carries its hash from the moment it is built, and equality (Record's)
+walks a term with an explicit stack, so depth costs no Python stack.
+Assertions never see that shape directly.  Their nodes follow the way a
+goal reads when printed: a head and all of its arguments are the children
+of one application node, head first, and a lambda's body is its only
+child.
 
 An Occurrence addresses one such node of one subgoal by its child-index
 path from the root.  Two occurrences are equal exactly when their subgoal
@@ -19,10 +20,11 @@ only for an occurrence that is returned or printed.
 Terms are hash-consed in a TermTable: each distinct term has one id,
 keyed on its constructor and its children's ids, and one canonical Term.
 Reading a case interns every term of it into one table, goal and argument
-sets alike, as the text is read (see `sexp`); a Goal built from Terms is
-interned into a table of its own when it is first indexed.  Interning a
-term whose key the table lacks adds the key, so an argument term absent
-from the goal joins the goal's table when an evaluator is built.
+sets alike, as the text is read (see `sexp`, and `ingest` for terms in
+another layout); a Goal built from Terms is interned into a table of its
+own when it is first indexed.  Interning a term whose key the table lacks
+adds the key, so an argument term absent from the goal joins the goal's
+table when an evaluator is built.
 
 A goal's nodes and distinct subterms come from one GoalIndex, built in
 one walk over term ids the first time `Goal.index` is read and cached on
@@ -51,35 +53,9 @@ def _require_name(name: str) -> None:
 class _Term(Record):
     """The base of the six term classes.  Each term carries its hash,
     computed from its children's as it is built, so hashing never walks a
-    term and equality turns most unequal terms away at once."""
+    term."""
 
     __slots__ = ("_hash",)
-
-    def __eq__(self, other: object) -> bool:
-        """Structural equality, from an explicit stack."""
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        todo = [self, other]
-        while todo:
-            b = todo.pop()
-            a = todo.pop()
-            if a is b:
-                continue
-            kind = a.__class__
-            if kind is not b.__class__ or a._hash != b._hash:
-                return False
-            if kind is App:
-                todo += (a.arg, b.arg, a.fun, b.fun)
-            elif kind is Lambda:
-                if a.binder != b.binder:
-                    return False
-                todo += (a.body, b.body)
-            elif kind is Bound:
-                if a.index != b.index:
-                    return False
-            elif a.name != b.name:
-                return False
-        return True
 
     def __hash__(self) -> int:
         return self._hash

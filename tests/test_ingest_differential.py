@@ -18,9 +18,24 @@ from hypothesis import strategies as st
 
 import oracle_ingest
 from lifter import sexp
-from lifter.ingest import CaseError, parse_case_file, parse_term_sexp, render_term_sexp
+from lifter.ingest import (
+    CaseError,
+    CorpusCase,
+    bundled_corpus_dir,
+    load_case_file,
+    parse_case_file,
+    parse_term_sexp,
+    render_term_sexp,
+)
 
-from helpers import case_texts, mutated_case_texts, terms_strategy
+from helpers import (
+    case_texts,
+    map_chain_case_text,
+    mutated_case_texts,
+    render_case_file,
+    spine_case_text,
+    terms_strategy,
+)
 
 # What a blank between two tokens may become: another blank, a line
 # break, a comment, or nothing at all (which may glue two atoms together).
@@ -124,6 +139,8 @@ def test_term_reading_matches_oracle(text):
     '(abs "y" (goal (bound 0)))',
     '(app (const "f") (bound ²))',
     '(bound ' + "9" * 5000 + ")",
+    '(abs "y" (bound ' + "0" * 10 + "))",
+    '(abs "a\\"b" (bound 0))',
     '(abs (bound 0) (free "x"))',
     '(const (free "x"))',
     '(const "x" "y")',
@@ -176,10 +193,9 @@ def test_term_forms_in_other_places_match_oracle(old, new):
     assert outcome(parse_case_file, text) == outcome(oracle_ingest.parse_case_file, text)
 
 
-def test_failed_forms_are_read_again_once(monkeypatch):
-    # Each (app ...) here fails, inside a list inside the (app ...) around
-    # it.  Only the outermost is diagnosed, so only it is read again: reading
-    # each would cost time quadratic in the nesting.
+def read_counting(text: str):
+    """The outcome of reading `text` as a case, and how many times a form
+    in it was read again as a plain list."""
     reads = []
     read = sexp._read
 
@@ -187,11 +203,46 @@ def test_failed_forms_are_read_again_once(monkeypatch):
         reads.append(table is None)
         return read(text, table, pos, endpos)
 
-    monkeypatch.setattr(sexp, "_read", counted)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sexp, "_read", counted)
+        result = outcome(parse_case_file, text)
+    return result, reads.count(True)
+
+
+def test_failed_forms_are_read_again_once():
+    # Each (app ...) here fails, inside a list inside the (app ...) around
+    # it.  Only the outermost is diagnosed, so only it is read again: reading
+    # each would cost time quadratic in the nesting.
     term = '(x (app ' * 200 + '(free "y")' + ")" * 400
     text = (
         f'(case "t" (goal (subgoal (app {term} (free "z"))))'
         ' (context) (args "a" (on) (arbitrary) (rule)))'
     )
-    assert outcome(parse_case_file, text) == outcome(oracle_ingest.parse_case_file, text)
-    assert reads.count(True) == 1
+    result, plain_reads = read_counting(text)
+    assert result == outcome(oracle_ingest.parse_case_file, text)
+    assert plain_reads == 1
+
+
+CORPUS = sorted(bundled_corpus_dir().glob("*.case"))
+
+
+@pytest.mark.parametrize("text", [
+    *(path.read_text(encoding="utf-8") for path in CORPUS),
+    *(render_case_file(load_case_file(path)) for path in CORPUS),
+    spine_case_text(240),
+    map_chain_case_text(60),
+], ids=lambda text: text[:20])
+def test_canonical_layout_is_read_in_one_pass(text):
+    # The layout render_term_sexp prints is the one the reader reduces whole:
+    # no term form of it is left for ingest to read again.
+    result, plain_reads = read_counting(text)
+    assert isinstance(result, CorpusCase)
+    assert plain_reads == 0
+
+
+@given(case_texts())
+@settings(max_examples=100, deadline=None)
+def test_rendered_cases_are_read_in_one_pass(text):
+    result, plain_reads = read_counting(text)
+    assert isinstance(result, CorpusCase)
+    assert plain_reads == 0

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lifter import bundled_corpus_dir, load_case_file
-from lifter.ingest import parse_case_file
+from lifter.ingest import parse_case_file, parse_term_sexp, render_term_sexp
 from lifter.interp import (
     Evaluator,
     classify_clause_params,
@@ -135,6 +135,19 @@ class TestDomains:
         assert sum(len(e.domain_values(OccsOf("t"), {"t": t})) for t in e.terms) == len(
             e.occurrences
         )
+
+    def test_term_occurrence_domain_takes_a_term_binding(self, itrev_case):
+        # As with atomic, t may be bound to a Term: its own, or an equal one
+        # read on its own, lists what its id lists.
+        e, _ = ev(itrev_case, "model")
+        for t in e.terms:
+            term = e.index.term_of[t]
+            by_id = e.domain_values(OccsOf("t"), {"t": t})
+            assert e.domain_values(OccsOf("t"), {"t": term}) == by_id
+            copy = parse_term_sexp(render_term_sexp(term))
+            assert copy is not term
+            assert e.domain_values(OccsOf("t"), {"t": copy}) == by_id
+        assert e.domain_values(OccsOf("t"), {"t": Free("nowhere")}) == ()
 
     def test_direct_callers_cannot_change_the_index(self, stdlib_set):
         # A fresh case: the index is shared by every evaluator of its goal.
